@@ -242,9 +242,6 @@ func selfServe(domain string, entities, pages int, seed uint64, maxInFlight int,
 		srv = webapi.NewServer(g.Corpus, engine)
 	}
 	srv.MaxInFlight = maxInFlight
-	if maxInFlight > 0 {
-		srv.MaxConcurrent = maxInFlight
-	}
 	rec := types.Chain{g.KB, types.NewRegexRecognizer()}
 	ln := store.NewDomainLearner(g.Corpus, g.Tokenizer, rec, 0, nil)
 	if len(ln.Aspects) > 0 {
@@ -442,9 +439,6 @@ func selfServeCluster(domain string, entities, pages int, seed uint64,
 	}
 	coSrv := webapi.NewCoordinatorServer(co)
 	coSrv.MaxInFlight = maxInFlight
-	if maxInFlight > 0 {
-		coSrv.MaxConcurrent = maxInFlight
-	}
 	bound, err := coSrv.Start("127.0.0.1:0")
 	if err != nil {
 		stop()

@@ -155,11 +155,6 @@ func main() {
 	srv.WireDisabled = !*wire
 	srv.CompressMin = *compress
 	srv.MaxInFlight = *maxInFl
-	if *maxInFl > 0 {
-		// Admission control shrinks the blocking concurrency gate too:
-		// shed fast at MaxInFlight, never convoy behind it.
-		srv.MaxConcurrent = *maxInFl
-	}
 	if !*quiet {
 		srv.Log = logger
 	}
@@ -327,9 +322,6 @@ func runCoordinator(addr, nodes string, replicas int, nodeDeadline time.Duration
 	srv.WireDisabled = !wire
 	srv.CompressMin = compress
 	srv.MaxInFlight = maxInFlight
-	if maxInFlight > 0 {
-		srv.MaxConcurrent = maxInFlight
-	}
 	if !quiet {
 		srv.Log = logger
 	}
@@ -341,7 +333,7 @@ func runCoordinator(addr, nodes string, replicas int, nodeDeadline time.Duration
 	cm := co.Metrics()
 	fmt.Printf("coordinating %d nodes (replicas %d) over %d pages of %q on http://%s (top-%d, global μ = %.0f)\n",
 		cm.Nodes, cm.Replicas, st.NumPages, st.Domain, bound, st.TopK, st.Mu)
-	fmt.Println("endpoints: /api/v1/{stats,search?q=&seed=,collfreq?tokens=,entities,metrics} /page/{id}.html /healthz (scatter-gathered)")
+	fmt.Println("endpoints: /api/v1/{stats,search?q=&seed=,collfreq?tokens=,entities,metrics} /page/{id}.html /healthz (scatter-gathered; harvest, jobs and ingest answer 501)")
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)

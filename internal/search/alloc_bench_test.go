@@ -8,6 +8,11 @@ import "testing"
 //	cached/append    SearchAppend into a reused buffer on a warm cache —
 //	                 the domain-learning / selector steady state. Pinned
 //	                 at 0 allocs/op.
+//	cached/topk/append
+//	                 SearchTopKAppend with a non-default k into a reused
+//	                 buffer on a warm cache — the serving path of a ?k=
+//	                 request. Pinned at 0 allocs/op: no engine copy, no
+//	                 fresh cache.
 //	cached           Search on a warm cache: the one allocation is the
 //	                 fresh result slice handed to the caller.
 //	nocache/append   the full sharded scoring pass with pooled scratch.
@@ -28,6 +33,20 @@ func BenchmarkSearchAllocs(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			dst = e.SearchAppend(dst[:0], q)
+		}
+	})
+	b.Run("cached/topk/append", func(b *testing.B) {
+		e := NewEngineOpts(idxs[0], Options{})
+		const k = 20
+		var dst []Result
+		dst = e.SearchTopKAppend(dst, k, q) // warm the cache
+		if len(dst) == 0 {
+			b.Fatal("no hits")
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dst = e.SearchTopKAppend(dst[:0], k, q)
 		}
 	})
 	b.Run("cached", func(b *testing.B) {

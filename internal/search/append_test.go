@@ -78,6 +78,30 @@ func TestSearchWithSeedAppendMatches(t *testing.T) {
 			t.Fatalf("q=%v: append %v, want %v", q, dst, want)
 		}
 	}
+
+	// The k-parameterized form, with k interleaved per query on the same
+	// cached engine: each k must match a WithTopK(k) copy exactly and the
+	// reference scorer, so no k is ever served another k's cache entry.
+	// Round 1 is answered from the cache.
+	for round := 0; round < 2; round++ {
+		for _, q := range qs[:20] {
+			for _, k := range []int{1, 0, 20, 50} { // 0: the default top-k
+				ref := e
+				if k > 0 {
+					ref = e.WithTopK(k)
+				}
+				want := ref.SearchWithSeed(seed, q)
+				dst = e.SearchWithSeedTopKAppend(dst[:0], k, seed, q)
+				label := fmt.Sprintf("round %d k=%d q=%v", round, k, q)
+				if len(want) != 0 || len(dst) != 0 {
+					if !reflect.DeepEqual(dst, want) {
+						t.Fatalf("%s: topk append %v, WithTopK %v", label, dst, want)
+					}
+				}
+				assertSameResults(t, label, ref.SearchReference(append(append([]textproc.Token{}, seed...), q...)), dst)
+			}
+		}
+	}
 }
 
 // TestConcurrentSearchAppendRace hammers SearchAppend from many

@@ -10,7 +10,7 @@ import (
 
 // queryCache is a thread-safe LRU cache of query results. Because the index
 // is immutable, entries never go stale; eviction is purely capacity-driven.
-// The cache owns its result slices: getAppend copies into the caller's
+// The cache owns its result slices: searchAppend copies into the caller's
 // buffer so callers can keep mutating the slices Search hands them (the
 // pre-cache contract). Keys are probed as []byte — Go's map lookup on
 // string(bytes) does not allocate — and materialized to a string only when
@@ -47,25 +47,31 @@ func (c *queryCache) fresh() *queryCache {
 	return newQueryCache(c.capacity)
 }
 
-// getAppend looks key up and, on a hit, appends a copy of the cached
-// results to dst (a cached empty result appends nothing). The bool
-// reports whether the key was present.
-func (c *queryCache) getAppend(key []byte, dst []Result) ([]Result, bool) {
+// searchAppend answers one query through the cache. A hit appends a copy
+// of the cached results to dst (a cached empty result appends nothing); a
+// miss appends miss(dst) and stores one canonical copy of what it added,
+// so the caller keeps mutating its own slice freely (the pre-cache
+// contract). The key string is materialized only when a new entry is
+// inserted.
+func (c *queryCache) searchAppend(key []byte, dst []Result, miss func([]Result) []Result) []Result {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[string(key)] // no-alloc lookup
-	if !ok {
-		c.misses++
-		return dst, false
+	if el, ok := c.byKey[string(key)]; ok { // no-alloc lookup
+		c.hits++
+		c.ll.MoveToFront(el)
+		dst = append(dst, el.Value.(*cacheEntry).res...)
+		c.mu.Unlock()
+		return dst
 	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return append(dst, el.Value.(*cacheEntry).res...), true
-}
+	c.misses++
+	c.mu.Unlock()
 
-// put stores res (which the cache takes ownership of) under key. The key
-// string is materialized only when a new entry is inserted.
-func (c *queryCache) put(key []byte, res []Result) {
+	start := len(dst)
+	dst = miss(dst)
+	var res []Result
+	if n := len(dst) - start; n > 0 {
+		res = make([]Result, n)
+		copy(res, dst[start:])
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.byKey == nil {
@@ -75,7 +81,7 @@ func (c *queryCache) put(key []byte, res []Result) {
 	if el, ok := c.byKey[string(key)]; ok {
 		c.ll.MoveToFront(el)
 		el.Value.(*cacheEntry).res = res
-		return
+		return dst
 	}
 	k := string(key)
 	c.byKey[k] = c.ll.PushFront(&cacheEntry{key: k, res: res})
@@ -84,6 +90,7 @@ func (c *queryCache) put(key []byte, res []Result) {
 		c.ll.Remove(back)
 		delete(c.byKey, back.Value.(*cacheEntry).key)
 	}
+	return dst
 }
 
 func (c *queryCache) stats() (hits, misses uint64) {
@@ -92,18 +99,18 @@ func (c *queryCache) stats() (hits, misses uint64) {
 	return c.hits, c.misses
 }
 
-// appendCacheKey canonicalizes a query for the cache into dst: scoring
-// mode, result-list size, then the tokens joined with an unprintable
-// separator (tokens are human text and never contain 0x1f). μ/k1/b need
-// not appear — an engine copy with different smoothing gets a fresh cache
-// (see the With* methods).
-func (e *Engine) appendCacheKey(dst []byte, query []textproc.Token) []byte {
+// appendCacheKey canonicalizes a k-result query for the cache into dst:
+// scoring mode, result-list size, then the tokens joined with an
+// unprintable separator (tokens are human text and never contain 0x1f).
+// μ/k1/b need not appear — an engine copy with different smoothing gets a
+// fresh cache (see the With* methods).
+func (e *Engine) appendCacheKey(dst []byte, k int, query []textproc.Token) []byte {
 	if e.bm25 {
 		dst = append(dst, 'b')
 	} else {
 		dst = append(dst, 'd')
 	}
-	dst = strconv.AppendInt(dst, int64(e.topK), 10)
+	dst = strconv.AppendInt(dst, int64(k), 10)
 	for _, t := range query {
 		dst = append(dst, 0x1f)
 		dst = append(dst, t...)

@@ -159,6 +159,12 @@ func (e *Engine) Index() *Index { return e.idx }
 // TopK returns the configured result-list size.
 func (e *Engine) TopK() int { return e.topK }
 
+// NumTerms, TotalTokens and CollectionFreq report the collection
+// statistics the engine scores with (the LiveEngine exposes the same).
+func (e *Engine) NumTerms() int                       { return e.statNumTerms() }
+func (e *Engine) TotalTokens() int                    { return e.statTotalTokens() }
+func (e *Engine) CollectionFreq(t textproc.Token) int { return e.statCollFreq(t) }
+
 // ScoreWorkers returns the configured candidate-scoring worker bound.
 func (e *Engine) ScoreWorkers() int { return e.workers }
 
@@ -265,30 +271,28 @@ func (e *Engine) Search(query []textproc.Token) []Result {
 // only the cache's canonical copy (plus any dst growth). Safe for
 // concurrent use — scratch is per-call, never shared.
 func (e *Engine) SearchAppend(dst []Result, query []textproc.Token) []Result {
+	return e.SearchTopKAppend(dst, 0, query)
+}
+
+// SearchTopKAppend is SearchAppend with an explicit result-list size
+// (k ≤ 0 uses the configured TopK) — the per-request override the serving
+// layer passes through without deriving an engine copy. The cache key
+// carries k, so every k shares the engine's one cache.
+func (e *Engine) SearchTopKAppend(dst []Result, k int, query []textproc.Token) []Result {
 	if len(query) == 0 {
 		return dst
 	}
+	if k <= 0 {
+		k = e.topK
+	}
 	if e.cache == nil {
-		return e.searchShardedAppend(dst, query)
+		return e.searchShardedAppend(dst, k, query)
 	}
 	kb := cacheKeyPool.Get().(*cacheKeyBuf)
-	key := e.appendCacheKey(kb.b[:0], query)
-	out, hit := e.cache.getAppend(key, dst)
-	if !hit {
-		start := len(dst)
-		out = e.searchShardedAppend(dst, query)
-		// The cache owns one canonical copy; the caller keeps mutating
-		// its own slice freely (the pre-cache contract).
-		var canonical []Result
-		if n := len(out) - start; n > 0 {
-			canonical = make([]Result, n)
-			copy(canonical, out[start:])
-		}
-		e.cache.put(key, canonical)
-	}
-	kb.b = key
+	kb.b = e.appendCacheKey(kb.b[:0], k, query)
+	dst = e.cache.searchAppend(kb.b, dst, func(dst []Result) []Result { return e.searchShardedAppend(dst, k, query) })
 	cacheKeyPool.Put(kb)
-	return out
+	return dst
 }
 
 // SearchWithSeed runs Search on seed ∥ query. The paper appends the seed
@@ -307,9 +311,15 @@ var seedQueryPool = sync.Pool{New: func() any { return new(seedQueryBuf) }}
 // SearchWithSeedAppend is SearchWithSeed with a caller-provided result
 // buffer; the seed∥query concatenation lives in pooled scratch.
 func (e *Engine) SearchWithSeedAppend(dst []Result, seed, query []textproc.Token) []Result {
+	return e.SearchWithSeedTopKAppend(dst, 0, seed, query)
+}
+
+// SearchWithSeedTopKAppend is SearchWithSeedAppend with an explicit
+// result-list size (k ≤ 0 uses the configured TopK).
+func (e *Engine) SearchWithSeedTopKAppend(dst []Result, k int, seed, query []textproc.Token) []Result {
 	sb := seedQueryPool.Get().(*seedQueryBuf)
 	combined := append(append(sb.toks[:0], seed...), query...)
-	dst = e.SearchAppend(dst, combined)
+	dst = e.SearchTopKAppend(dst, k, combined)
 	sb.toks = combined
 	seedQueryPool.Put(sb)
 	return dst

@@ -618,23 +618,10 @@ func (le *LiveEngine) SearchTopKAppend(dst []Result, k int, query []textproc.Tok
 		return le.searchViewAppend(dst, v, k, query)
 	}
 	kb := cacheKeyPool.Get().(*cacheKeyBuf)
-	key := le.appendLiveCacheKey(kb.b[:0], v.epoch, k, query)
-	out, hit := le.cache.getAppend(key, dst)
-	if !hit {
-		start := len(dst)
-		out = le.searchViewAppend(dst, v, k, query)
-		// The cache owns one canonical copy; the caller keeps mutating
-		// its own slice freely (the pre-cache contract).
-		var canonical []Result
-		if n := len(out) - start; n > 0 {
-			canonical = make([]Result, n)
-			copy(canonical, out[start:])
-		}
-		le.cache.put(key, canonical)
-	}
-	kb.b = key
+	kb.b = le.appendLiveCacheKey(kb.b[:0], v.epoch, k, query)
+	dst = le.cache.searchAppend(kb.b, dst, func(dst []Result) []Result { return le.searchViewAppend(dst, v, k, query) })
 	cacheKeyPool.Put(kb)
-	return out
+	return dst
 }
 
 // appendLiveCacheKey is the engine cache key prefixed with the view
@@ -669,13 +656,7 @@ func (le *LiveEngine) searchViewAppend(dst []Result, v *liveView, k int, query [
 	case 1:
 		// Single segment: local ordinals are the global ordinals; skip
 		// the merge entirely (the frozen-boot steady state).
-		eng := v.engines[0]
-		if k != eng.topK {
-			cp := *eng
-			cp.topK = k
-			eng = &cp
-		}
-		return eng.searchShardedAppend(dst, query)
+		return v.engines[0].searchShardedAppend(dst, k, query)
 	}
 	sc := liveScratchPool.Get().(*liveScratch)
 

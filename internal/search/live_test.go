@@ -360,5 +360,23 @@ func TestLiveEngineSoak(t *testing.T) {
 		le.Add(batch...)
 	}
 	le.Quiesce()
-	requireParity(t, "post-soak", le, pages, qs)
+	// The two ingesters call Add outside the claim lock, so ingest order
+	// may differ from claim order, and the live engine breaks score ties
+	// on ingest order. The frozen reference is therefore rebuilt from the
+	// engine's actual ingest order, which must be a permutation of pages.
+	ingested := le.Pages()
+	if len(ingested) != len(pages) {
+		t.Fatalf("ingested %d pages, want %d", len(ingested), len(pages))
+	}
+	want := make(map[*corpus.Page]bool, len(pages))
+	for _, p := range pages {
+		want[p] = true
+	}
+	for _, p := range ingested {
+		if !want[p] {
+			t.Fatalf("page %d ingested twice or never claimed", p.ID)
+		}
+		delete(want, p)
+	}
+	requireParity(t, "post-soak", le, ingested, qs)
 }

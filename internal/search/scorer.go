@@ -150,8 +150,7 @@ var searchScratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 // sort. Workers partition the document-ordinal space, so their candidate
 // sets are disjoint and the merged ranking equals the reference's. The
 // top-k results are appended to dst.
-func (e *Engine) searchShardedAppend(dst []Result, query []textproc.Token) []Result {
-	k := e.topK
+func (e *Engine) searchShardedAppend(dst []Result, k int, query []textproc.Token) []Result {
 	if k < 0 {
 		k = 0
 	}

@@ -375,7 +375,7 @@ func (c *Client) SearchWithSeedErr(ctx context.Context, seed, query []textproc.T
 	if err != nil {
 		return nil, err
 	}
-	pages, err := c.prefetch(ctx, resp.Hits)
+	pages, err := prefetchPages(ctx, resp.Hits, c.prefetchWorkers, c.PageCtx)
 	if err != nil {
 		return nil, err
 	}
@@ -386,20 +386,22 @@ func (c *Client) SearchWithSeedErr(ctx context.Context, seed, query []textproc.T
 	return out, nil
 }
 
-// prefetch downloads the hit list's pages with bounded concurrency,
-// preserving rank order. The first failure cancels the remaining fetches.
-func (c *Client) prefetch(ctx context.Context, hits []SearchHit) ([]*corpus.Page, error) {
+// prefetchPages downloads the hit list's pages with at most workers
+// concurrent fetches, preserving rank order. The first failure cancels the
+// remaining fetches: the complete-or-error contract the client and the
+// coordinator share.
+func prefetchPages(ctx context.Context, hits []SearchHit, workers int,
+	fetch func(context.Context, corpus.PageID) (*corpus.Page, error)) ([]*corpus.Page, error) {
 	pages := make([]*corpus.Page, len(hits))
 	if len(hits) == 0 {
 		return pages, nil
 	}
-	workers := c.prefetchWorkers
 	if workers > len(hits) {
 		workers = len(hits)
 	}
 	if workers <= 1 {
 		for i, h := range hits {
-			p, err := c.PageCtx(ctx, h.PageID)
+			p, err := fetch(ctx, h.PageID)
 			if err != nil {
 				return nil, err
 			}
@@ -423,7 +425,7 @@ func (c *Client) prefetch(ctx context.Context, hits []SearchHit) ([]*corpus.Page
 				if fctx.Err() != nil {
 					continue // another fetch failed; drain without fetching
 				}
-				p, err := c.PageCtx(fctx, hits[i].PageID)
+				p, err := fetch(fctx, hits[i].PageID)
 				if err != nil {
 					errMu.Lock()
 					if firstErr == nil {

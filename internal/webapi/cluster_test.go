@@ -496,3 +496,69 @@ func TestClusterEndpointGating(t *testing.T) {
 		t.Errorf("search of unowned partition = %d, want 400", resp2.StatusCode)
 	}
 }
+
+// TestCoordinatorHarvestUnsupported: a coordinator hosts no server-side
+// sessions, so even with a HarvestBackend attached the harvest, jobs and
+// ingest routes answer the non-retryable 501 envelope — a coordinator
+// server once dereferenced its absent local corpus here and crashed the
+// process — and the server keeps serving searches afterwards.
+func TestCoordinatorHarvestUnsupported(t *testing.T) {
+	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	co := dialCluster(t, g, startClusterNodes(t, g, 2, 1, nil), 1, 0)
+	srv := NewCoordinatorServer(co)
+	cfg := core.DefaultConfig()
+	cfg.Tokenizer = g.Tokenizer
+	srv.Harvest = &HarvestBackend{
+		Cfg:     cfg,
+		Aspects: []corpus.Aspect{synth.AspResearch},
+		Y: func(a corpus.Aspect) func(*corpus.Page) bool {
+			return func(p *corpus.Page) bool { return classify.GroundTruth(p, a) }
+		},
+		Rec: types.Chain{g.KB, types.NewRegexRecognizer()},
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	harvest, _ := json.Marshal(HarvestRequest{
+		Entities: []corpus.EntityID{g.Corpus.Entities[0].ID},
+		Aspect:   string(synth.AspResearch),
+		NQueries: 1,
+	})
+	ingest, _ := json.Marshal(IngestRequest{Pages: []IngestPage{{ID: 1 << 30, Entity: g.Corpus.Entities[0].ID,
+		Paras: []IngestParagraph{{Text: "research"}}}}})
+	for _, tc := range []struct {
+		path string
+		body []byte
+	}{
+		{"/api/v1/harvest", harvest},
+		{"/api/v1/jobs", harvest},
+		{"/api/v1/ingest", ingest},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(string(tc.body)))
+		if err != nil {
+			t.Fatalf("POST %s: %v", tc.path, err)
+		}
+		var env errorEnvelope
+		derr := json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotImplemented || derr != nil ||
+			env.Error.Code != "not_implemented" || env.Error.Retryable {
+			t.Errorf("POST %s on a coordinator = %d %+v (decode err %v), want the non-retryable 501 envelope",
+				tc.path, resp.StatusCode, env.Error, derr)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/api/v1/search?q=research")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sr SearchResponse
+	derr := json.NewDecoder(resp.Body).Decode(&sr)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || derr != nil || len(sr.Hits) == 0 {
+		t.Fatalf("search after refused harvests = %d, %d hits (decode err %v)", resp.StatusCode, len(sr.Hits), derr)
+	}
+}

@@ -22,7 +22,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -227,9 +226,6 @@ func (co *Coordinator) Stats() Stats { return co.stats }
 // treat as read-only).
 func (co *Coordinator) GlobalStats() GlobalStatsPayload { return co.global }
 
-// Nodes returns the cluster size.
-func (co *Coordinator) Nodes() int { return co.ring.Nodes() }
-
 // TopK implements core.Retriever.
 func (co *Coordinator) TopK() int { return co.topK }
 
@@ -410,7 +406,7 @@ func (co *Coordinator) SearchWithSeedErr(ctx context.Context, seed, query []text
 	if resp.Partial {
 		return nil, ErrPartial
 	}
-	pages, err := co.prefetchPages(ctx, resp.Hits)
+	pages, err := prefetchPages(ctx, resp.Hits, co.prefetch, co.PageCtx)
 	if err != nil {
 		return nil, err
 	}
@@ -419,75 +415,6 @@ func (co *Coordinator) SearchWithSeedErr(ctx context.Context, seed, query []text
 		out[i] = search.Result{Page: pages[i], Score: h.Score}
 	}
 	return out, nil
-}
-
-// prefetchPages downloads the hit list with bounded concurrency,
-// preserving rank order; the first failure cancels the rest (the
-// complete-or-error contract).
-func (co *Coordinator) prefetchPages(ctx context.Context, hits []SearchHit) ([]*corpus.Page, error) {
-	pages := make([]*corpus.Page, len(hits))
-	if len(hits) == 0 {
-		return pages, nil
-	}
-	workers := co.prefetch
-	if workers > len(hits) {
-		workers = len(hits)
-	}
-	if workers <= 1 {
-		for i, h := range hits {
-			p, err := co.PageCtx(ctx, h.PageID)
-			if err != nil {
-				return nil, err
-			}
-			pages[i] = p
-		}
-		return pages, nil
-	}
-	fctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				if fctx.Err() != nil {
-					continue
-				}
-				p, err := co.PageCtx(fctx, hits[i].PageID)
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					cancel()
-					continue
-				}
-				pages[i] = p
-			}
-		}()
-	}
-	for i := range hits {
-		if fctx.Err() != nil {
-			break
-		}
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return pages, nil
 }
 
 // PageCtx downloads one page from its partition's owner chain, failing
@@ -624,23 +551,10 @@ func (co *Coordinator) Metrics() ClusterMetrics {
 // surface: /api/v1/{stats,search,collfreq,entities,metrics} and /page/{id}
 // answer from the cluster (searches scatter-gather, pages proxy to their
 // owning node), with the same admission control, codec negotiation and
-// error envelope as a single-node server. Harvest/jobs stay 501 unless a
-// HarvestBackend is attached.
+// error envelope as a single-node server. Harvest, jobs and ingest answer
+// 501 even with a HarvestBackend attached: server-side sessions run next
+// to an index, and a coordinator has none (harvest through a Client
+// dialed at the coordinator instead).
 func NewCoordinatorServer(co *Coordinator) *Server {
-	//l2qvet:ignore ctxbg server-lifetime root: this ctx outlives every request and is canceled by Shutdown's drain
-	ctx, cancel := context.WithCancel(context.Background())
-	return &Server{cluster: co, MaxConcurrent: 64, ctx: ctx, cancel: cancel}
+	return newServer(clusterBackend{co})
 }
-
-// errorStatus maps a coordinator failure to its serving-surface status:
-// canceled requests and whole-cluster outages are retryable 503s; a page
-// whose owners all 404 it stays a 404.
-func errorStatus(err error) int {
-	var te *TransportError
-	if errors.As(err, &te) && te.Status == 404 {
-		return 404
-	}
-	return 503
-}
-
-var _ = strings.TrimSpace // keep strings imported for the handlers below

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -34,7 +35,7 @@ import (
 )
 
 // HarvestBackend supplies everything the batch-harvest endpoint needs
-// beyond the server's corpus and engine: the L2Q configuration, the
+// beyond the serving backend's entities and retriever: the L2Q configuration, the
 // materialized relevance functions, the type system, and (typically lazily
 // learned and cached) domain models. Assign it to Server.Harvest to enable
 // the endpoint; a nil backend leaves it disabled (501).
@@ -121,15 +122,6 @@ func (hb *HarvestBackend) domainModel(a corpus.Aspect) (*core.DomainModel, error
 	}
 	hb.dmCache[a] = dm
 	return dm, nil
-}
-
-func (hb *HarvestBackend) hasAspect(a corpus.Aspect) bool {
-	for _, known := range hb.Aspects {
-		if known == a {
-			return true
-		}
-	}
-	return false
 }
 
 // BudgetSpec is the wire form of pipeline.BudgetPolicy: how a request's
@@ -247,8 +239,11 @@ func SelectorByName(name string) (core.Selector, bool) {
 }
 
 // harvestPlan is a validated harvest request: everything resolved except
-// the sessions themselves.
+// the sessions themselves, which run on the backend's retriever and
+// entity table.
 type harvestPlan struct {
+	ret    core.Retriever
+	entity func(corpus.EntityID) *corpus.Entity
 	aspect corpus.Aspect
 	sel    core.Selector
 	dm     *core.DomainModel
@@ -257,33 +252,21 @@ type harvestPlan struct {
 	resume map[corpus.EntityID]core.Checkpoint
 }
 
-// planError is a user-facing validation failure with an HTTP status.
-type planError struct {
-	status int
-	msg    string
-}
-
-func (e *planError) Error() string { return e.msg }
-
-func planErrorf(status int, format string, args ...any) *planError {
-	return &planError{status: status, msg: fmt.Sprintf(format, args...)}
-}
-
 // plan validates a harvest request against the backend's limits and
 // resolves strategy, domain model, budget policy and resume checkpoints.
-func (hb *HarvestBackend) plan(req HarvestRequest) (*harvestPlan, *planError) {
+func (hb *HarvestBackend) plan(req HarvestRequest) (*harvestPlan, *serveError) {
 	if len(req.Entities) == 0 {
-		return nil, planErrorf(http.StatusBadRequest, "no entities requested")
+		return nil, serveErrorf(http.StatusBadRequest, "no entities requested")
 	}
 	if len(req.Entities) > hb.maxSessions() {
-		return nil, planErrorf(http.StatusBadRequest, "too many entities: %d > %d", len(req.Entities), hb.maxSessions())
+		return nil, serveErrorf(http.StatusBadRequest, "too many entities: %d > %d", len(req.Entities), hb.maxSessions())
 	}
 	if req.NQueries < 0 || req.NQueries > hb.maxQueries() {
-		return nil, planErrorf(http.StatusBadRequest, "nQueries out of range [0, %d]", hb.maxQueries())
+		return nil, serveErrorf(http.StatusBadRequest, "nQueries out of range [0, %d]", hb.maxQueries())
 	}
 	aspect := corpus.Aspect(req.Aspect)
-	if !hb.hasAspect(aspect) {
-		return nil, planErrorf(http.StatusBadRequest, "unknown aspect %q (serving %v)", req.Aspect, hb.Aspects)
+	if !slices.Contains(hb.Aspects, aspect) {
+		return nil, serveErrorf(http.StatusBadRequest, "unknown aspect %q (serving %v)", req.Aspect, hb.Aspects)
 	}
 	strategy := req.Strategy
 	if strategy == "" {
@@ -291,14 +274,14 @@ func (hb *HarvestBackend) plan(req HarvestRequest) (*harvestPlan, *planError) {
 	}
 	sel, ok := SelectorByName(strategy)
 	if !ok {
-		return nil, planErrorf(http.StatusBadRequest, "unknown strategy %q", req.Strategy)
+		return nil, serveErrorf(http.StatusBadRequest, "unknown strategy %q", req.Strategy)
 	}
 	budget, err := req.Budget.policy()
 	if err != nil {
-		return nil, planErrorf(http.StatusBadRequest, "%s", err.Error())
+		return nil, serveErrorf(http.StatusBadRequest, "%s", err.Error())
 	}
 	if max := hb.maxQueries() * len(req.Entities); budget.TotalQueries > max {
-		return nil, planErrorf(http.StatusBadRequest, "budget.totalQueries out of range [0, %d]", max)
+		return nil, serveErrorf(http.StatusBadRequest, "budget.totalQueries out of range [0, %d]", max)
 	}
 	if budget.Mode == pipeline.BudgetAdaptive {
 		// MaxQueries is documented as the per-entity bound; donation must
@@ -312,7 +295,7 @@ func (hb *HarvestBackend) plan(req HarvestRequest) (*harvestPlan, *planError) {
 		p.resume = make(map[corpus.EntityID]core.Checkpoint, len(req.Resume))
 		for _, cp := range req.Resume {
 			if cp.Aspect != aspect {
-				return nil, planErrorf(http.StatusBadRequest, "resume checkpoint for entity %d is for aspect %q, not %q", cp.Entity, cp.Aspect, aspect)
+				return nil, serveErrorf(http.StatusBadRequest, "resume checkpoint for entity %d is for aspect %q, not %q", cp.Entity, cp.Aspect, aspect)
 			}
 			p.resume[cp.Entity] = cp
 		}
@@ -320,7 +303,7 @@ func (hb *HarvestBackend) plan(req HarvestRequest) (*harvestPlan, *planError) {
 	if !req.NoDomain {
 		dm, err := hb.domainModel(aspect)
 		if err != nil {
-			return nil, planErrorf(http.StatusInternalServerError, "domain model: %s", err.Error())
+			return nil, serveErrorf(http.StatusInternalServerError, "domain model: %s", err.Error())
 		}
 		p.dm = dm
 	}
@@ -332,19 +315,17 @@ func (hb *HarvestBackend) plan(req HarvestRequest) (*harvestPlan, *planError) {
 // checkpointed sessions. Unknown IDs and failed resumes fail individually
 // (an explicit per-entity error event), never the whole batch. The
 // returned entity slice is aligned with the jobs.
-func (hb *HarvestBackend) buildJobs(srv *Server, req HarvestRequest, p *harvestPlan,
+func (hb *HarvestBackend) buildJobs(req HarvestRequest, p *harvestPlan,
 	emit func(HarvestEvent)) (jobs []pipeline.Job, jobEntities []*corpus.Entity, failed int) {
 
 	for _, id := range req.Entities {
-		srv.corpusMu.RLock()
-		e := srv.corpus.Entity(id)
-		srv.corpusMu.RUnlock()
+		e := p.entity(id)
 		if e == nil {
 			failed++
 			emit(HarvestEvent{Type: "error", Entity: id, Error: fmt.Sprintf("unknown entity id %d", id)})
 			continue
 		}
-		sess := core.NewSession(hb.Cfg, srv.retriever(), e, p.aspect, p.y, p.dm, hb.Rec, uint64(e.ID)+1)
+		sess := core.NewSession(hb.Cfg, p.ret, e, p.aspect, p.y, p.dm, hb.Rec, uint64(e.ID)+1)
 		nq := req.NQueries
 		if cp, ok := p.resume[e.ID]; ok {
 			if err := sess.Resume(cp); err != nil {
@@ -419,20 +400,34 @@ func (s *Server) eventEmitter(w http.ResponseWriter, r *http.Request, onDead fun
 	}
 }
 
-func (s *Server) handleHarvest(w http.ResponseWriter, r *http.Request) {
-	hb := s.Harvest
-	if hb == nil {
-		writeError(w, http.StatusNotImplemented, "harvesting not enabled on this server")
-		return
-	}
+// planHarvest decodes and validates a harvest (or job) request body and
+// binds the plan to the backend's session source. The error carries the
+// status to answer with: 501 without a HarvestBackend or on a backend
+// that hosts no sessions, 4xx/500 from validation.
+func (s *Server) planHarvest(r *http.Request) (HarvestRequest, *harvestPlan, error) {
 	var req HarvestRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
+	if s.Harvest == nil {
+		return req, nil, serveErrorf(http.StatusNotImplemented, "harvesting not enabled on this server")
 	}
-	p, perr := hb.plan(req)
+	ret, entity, err := s.be.sessions()
+	if err != nil {
+		return req, nil, err
+	}
+	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+		return req, nil, serveErrorf(http.StatusBadRequest, "bad request body: %s", err.Error())
+	}
+	p, perr := s.Harvest.plan(req)
 	if perr != nil {
-		writeError(w, perr.status, perr.msg)
+		return req, nil, perr
+	}
+	p.ret, p.entity = ret, entity
+	return req, p, nil
+}
+
+func (s *Server) handleHarvest(w http.ResponseWriter, r *http.Request) {
+	req, p, err := s.planHarvest(r)
+	if err != nil {
+		writeError(w, errorStatus(err), err.Error())
 		return
 	}
 
@@ -447,30 +442,36 @@ func (s *Server) handleHarvest(w http.ResponseWriter, r *http.Request) {
 
 	emit := s.eventEmitter(w, r, cancel)
 
-	jobs, jobEntities, failed := hb.buildJobs(s, req, p, emit)
+	jobs, jobEntities, failed := s.Harvest.buildJobs(req, p, emit)
 
 	// ONE shared scheduler for every request: admission control and fair
 	// share instead of a fresh per-request worker pool.
 	results := s.submitHarvest(ctx, jobs, pipeline.BatchOptions{Budget: p.budget})
 
+	failed += emitResults(results, jobEntities, emit)
+	emit(HarvestEvent{Type: "done", Entities: len(req.Entities), Failed: failed})
+}
+
+// emitResults emits one "entity" event (or "error", for a failed job) per
+// result in job order and returns how many jobs failed.
+func emitResults(results []pipeline.Result, entities []*corpus.Entity, emit func(HarvestEvent)) (failed int) {
 	for i, res := range results {
-		e := jobEntities[i]
+		ev := HarvestEvent{Type: "entity", Entity: entities[i].ID}
 		if res.Err != nil {
 			failed++
-			emit(HarvestEvent{Type: "error", Entity: e.ID, Error: res.Err.Error()})
-			continue
+			ev.Type, ev.Error = "error", res.Err.Error()
+		} else {
+			ev.Fired = make([]string, len(res.Fired))
+			for j, q := range res.Fired {
+				ev.Fired[j] = string(q)
+			}
+			for _, pg := range res.Job.Session.Pages() {
+				ev.Pages = append(ev.Pages, pg.ID)
+			}
 		}
-		fired := make([]string, len(res.Fired))
-		for j, q := range res.Fired {
-			fired[j] = string(q)
-		}
-		var pages []corpus.PageID
-		for _, pg := range res.Job.Session.Pages() {
-			pages = append(pages, pg.ID)
-		}
-		emit(HarvestEvent{Type: "entity", Entity: e.ID, Fired: fired, Pages: pages})
+		emit(ev)
 	}
-	emit(HarvestEvent{Type: "done", Entities: len(req.Entities), Failed: failed})
+	return failed
 }
 
 // submitHarvest runs one batch on the server's shared scheduler and
@@ -501,30 +502,43 @@ func (c *Client) HarvestBatch(ctx context.Context, req HarvestRequest, onEvent f
 		return fmt.Errorf("webapi: harvest: encode request: %w", err)
 	}
 	path := c.api("/harvest")
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
+	resp, err := c.openEventStream(ctx, http.MethodPost, "harvest", path, bytes.NewReader(body))
 	if err != nil {
-		return fmt.Errorf("webapi: harvest: %w", err)
+		return err
 	}
-	hreq.Header.Set("Content-Type", "application/json")
+	defer resp.Body.Close()
+	return c.consumeEventStream(resp, "harvest", path, onEvent)
+}
+
+// openEventStream issues one harvest/job event-stream request (a JSON
+// body when body is non-nil) and checks its status. It uses a dedicated
+// transport-less client: c.http's per-request Timeout would sever a
+// stream that runs as long as the harvest.
+func (c *Client) openEventStream(ctx context.Context, method, op, path string, body io.Reader) (*http.Response, error) {
+	hreq, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+	if err != nil {
+		return nil, fmt.Errorf("webapi: %s: %w", op, err)
+	}
+	if body != nil {
+		hreq.Header.Set("Content-Type", "application/json")
+	}
 	if c.wantWire() {
 		hreq.Header.Set("Accept", wireContentType)
 	}
 	c.met.requests.Add(1)
-	// A dedicated transport-less client: c.http's per-request Timeout
-	// would sever long-running streams mid-harvest.
 	resp, err := (&http.Client{}).Do(hreq)
 	if err != nil {
 		c.met.errors.Add(1)
-		return &TransportError{Op: "harvest", Path: path, Attempts: 1, Err: err}
+		return nil, &TransportError{Op: op, Path: path, Attempts: 1, Err: err}
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
 		se := readError(resp)
 		c.met.errors.Add(1)
-		return &TransportError{Op: "harvest", Path: path, Attempts: 1, Status: resp.StatusCode,
+		return nil, &TransportError{Op: op, Path: path, Attempts: 1, Status: resp.StatusCode,
 			Code: se.code, Err: se}
 	}
-	return c.consumeEventStream(resp, "harvest", path, onEvent)
+	return resp, nil
 }
 
 // consumeEventStream decodes a harvest/job event stream in whichever

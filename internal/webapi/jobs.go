@@ -185,19 +185,9 @@ func (j *serverJob) waitEvents(ctx context.Context, from int) (evs []HarvestEven
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	hb := s.Harvest
-	if hb == nil {
-		writeError(w, http.StatusNotImplemented, "harvesting not enabled on this server")
-		return
-	}
-	var req HarvestRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	p, perr := hb.plan(req)
-	if perr != nil {
-		writeError(w, perr.status, perr.msg)
+	req, p, err := s.planHarvest(r)
+	if err != nil {
+		writeError(w, errorStatus(err), err.Error())
 		return
 	}
 
@@ -232,7 +222,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 func (s *Server) runJob(ctx context.Context, j *serverJob, req HarvestRequest, p *harvestPlan) {
 	defer j.cancel()
 	j.setState(JobRunning)
-	jobs, jobEntities, _ := s.Harvest.buildJobs(s, req, p, j.emit)
+	jobs, jobEntities, _ := s.Harvest.buildJobs(req, p, j.emit)
 
 	results := s.submitHarvest(ctx, jobs, pipeline.BatchOptions{
 		Budget: p.budget,
@@ -241,26 +231,7 @@ func (s *Server) runJob(ctx context.Context, j *serverJob, req HarvestRequest, p
 		},
 	})
 
-	canceled := false
-	for i, res := range results {
-		e := jobEntities[i]
-		if res.Err != nil {
-			if ctx.Err() != nil {
-				canceled = true
-			}
-			j.emit(HarvestEvent{Type: "error", Entity: e.ID, Error: res.Err.Error()})
-			continue
-		}
-		fired := make([]string, len(res.Fired))
-		for k, q := range res.Fired {
-			fired[k] = string(q)
-		}
-		var pages []corpus.PageID
-		for _, pg := range res.Job.Session.Pages() {
-			pages = append(pages, pg.ID)
-		}
-		j.emit(HarvestEvent{Type: "entity", Entity: e.ID, Fired: fired, Pages: pages})
-	}
+	canceled := emitResults(results, jobEntities, j.emit) > 0 && ctx.Err() != nil
 	st := j.status(false)
 	j.emit(HarvestEvent{Type: "done", Entities: st.Entities, Failed: st.Failed})
 	if canceled {
@@ -422,28 +393,11 @@ func (c *Client) JobStatus(ctx context.Context, id string, withCheckpoints bool)
 // returns an error.
 func (c *Client) StreamJob(ctx context.Context, id string, onEvent func(HarvestEvent) error) error {
 	path := c.api("/jobs/" + id + "?stream=1")
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+	resp, err := c.openEventStream(ctx, http.MethodGet, "jobstream", path, nil)
 	if err != nil {
-		return fmt.Errorf("webapi: jobs: %w", err)
-	}
-	if c.wantWire() {
-		hreq.Header.Set("Accept", wireContentType)
-	}
-	c.met.requests.Add(1)
-	// Transport-less client: the per-request timeout would sever the
-	// follow stream mid-job (same as HarvestBatch).
-	resp, err := (&http.Client{}).Do(hreq)
-	if err != nil {
-		c.met.errors.Add(1)
-		return &TransportError{Op: "jobstream", Path: path, Attempts: 1, Err: err}
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		se := readError(resp)
-		c.met.errors.Add(1)
-		return &TransportError{Op: "jobstream", Path: path, Attempts: 1, Status: resp.StatusCode,
-			Code: se.code, Err: se}
-	}
 	return c.consumeEventStream(resp, "jobstream", path, onEvent)
 }
 

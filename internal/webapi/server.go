@@ -26,7 +26,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"l2q/internal/core"
 	"l2q/internal/corpus"
 	"l2q/internal/html"
 	"l2q/internal/pipeline"
@@ -74,37 +73,35 @@ type EntityInfo struct {
 	SeedQuery string          `json:"seedQuery"`
 }
 
-// Server serves a corpus and engine over HTTP. Construct with NewServer
-// (frozen corpus) or NewLiveServer (live generational index), then
-// Start/Shutdown (or mount Handler on your own server). Server is safe
-// for concurrent requests: a frozen corpus and engine are immutable, and
-// a live server serializes corpus growth behind corpusMu while searches
-// run lock-free against the live engine's epoch views.
+// Server serves one backend over HTTP: a corpus and engine (NewServer:
+// frozen; NewLiveServer: live generational index) or a cluster
+// (NewCoordinatorServer). Start/Shutdown it, or mount Handler on your own
+// server. Server is safe for concurrent requests: a frozen corpus and
+// engine are immutable, a live server serializes corpus growth behind the
+// backend's lock while searches run lock-free against the live engine's
+// epoch views, and a coordinator holds no mutable corpus at all.
 type Server struct {
-	corpus *corpus.Corpus
-	engine *search.Engine
-	pages  map[corpus.PageID]*corpus.Page
-
-	// corpusMu guards corpus and pages once ingest can grow them; frozen
-	// servers never take the write side.
-	corpusMu sync.RWMutex
+	be backend
 
 	// Log receives one line per request when non-nil.
 	Log *log.Logger
-	// MaxConcurrent bounds in-flight requests (default 64). Set it before
-	// the first request; later changes are ignored.
+	// MaxConcurrent bounds in-flight requests (default 64): a request past
+	// the bound waits for a slot. Ignored when MaxInFlight is set. Set it
+	// before the first request; later changes are ignored.
 	MaxConcurrent int
-	// MaxInFlight, when > 0, is the admission-control bound: a request
-	// arriving while MaxInFlight others are in flight is shed immediately
-	// with 429 and the retryable error envelope instead of queueing
-	// (/healthz is exempt so probes see an overloaded server as alive).
-	// It also becomes the default MaxActive of the shared harvest
-	// scheduler, so admission and job concurrency degrade together. Set
-	// it before the first request; later changes are ignored.
+	// MaxInFlight, when > 0, replaces the MaxConcurrent bound with
+	// admission control: a request arriving while MaxInFlight others are
+	// in flight is shed immediately with 429 and the retryable error
+	// envelope instead of queueing (/healthz is exempt so probes see an
+	// overloaded server as alive). It also becomes the default MaxActive
+	// of the shared harvest scheduler, so admission and job concurrency
+	// degrade together. Set it before the first request; later changes
+	// are ignored.
 	MaxInFlight int
 	// Harvest, when non-nil, enables the POST /api/v1/harvest batch
 	// endpoint (server-side pipelined sessions with streamed progress)
-	// and the asynchronous jobs API (POST/GET/DELETE /api/v1/jobs).
+	// and the asynchronous jobs API (POST/GET/DELETE /api/v1/jobs). A
+	// coordinator server hosts no sessions and answers both 501.
 	Harvest *HarvestBackend
 	// WireDisabled turns off binary-frame negotiation: the server
 	// answers every request in JSON regardless of Accept (the mixed-
@@ -119,31 +116,20 @@ type Server struct {
 	// (partition-local search, stat registration/push). The regular
 	// endpoints keep serving the node's full local corpus store.
 	Node *ClusterNode
-	// Live, when non-nil, serves retrieval from the generational live
-	// engine instead of the frozen engine and enables POST /api/v1/ingest
-	// (set by NewLiveServer; set it before the first request).
-	Live *search.LiveEngine
-	// Tokenizer tokenizes ingested paragraph text server-side, so
-	// ingested pages carry exactly the tokens the corpus tokenizer would
-	// have produced (the parity contract through the API). Nil falls back
-	// to the zero tokenizer (plain word splitting).
-	Tokenizer *textproc.Tokenizer
 
-	// cluster, when non-nil, makes this a coordinator server: the regular
-	// serving surface answers by scatter-gathering the cluster instead of
-	// from a local engine (see NewCoordinatorServer).
-	cluster *Coordinator
-
-	semOnce sync.Once
-	sem     chan struct{}
-
-	// inflight is the MaxInFlight try-acquire semaphore (nil when
-	// admission control is off); shed counts requests rejected at it.
-	inflightOnce sync.Once
-	inflight     chan struct{}
-	shed         atomic.Int64
+	// sem is the one admission semaphore, sized on first use (see
+	// semaphore); shedding reports whether it try-acquires (MaxInFlight)
+	// or blocks (MaxConcurrent), and shed counts requests rejected at it.
+	semOnce  sync.Once
+	sem      chan struct{}
+	shedding bool
+	shed     atomic.Int64
 
 	http *http.Server
+	// newConns holds the accepted connections that have not sent a
+	// request yet, which Shutdown closes (see trackConn).
+	connsMu  sync.Mutex
+	newConns map[net.Conn]struct{}
 
 	// sched is the ONE shared pipeline scheduler every harvest (sync and
 	// async) runs on, created lazily from the backend's worker knobs and
@@ -190,14 +176,13 @@ func (s *Server) scheduler() *pipeline.Scheduler {
 
 // NewServer wires a server over a corpus and its engine.
 func NewServer(c *corpus.Corpus, engine *search.Engine) *Server {
-	pages := make(map[corpus.PageID]*corpus.Page, c.NumPages())
-	for _, p := range c.Pages {
-		pages[p.ID] = p
-	}
+	return newServer(newLocalBackend(c, engine, nil, nil))
+}
+
+func newServer(be backend) *Server {
 	//l2qvet:ignore ctxbg server-lifetime root: this ctx outlives every request and is canceled by Shutdown's drain
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Server{corpus: c, engine: engine, pages: pages, MaxConcurrent: 64,
-		ctx: ctx, cancel: cancel}
+	return &Server{be: be, MaxConcurrent: 64, ctx: ctx, cancel: cancel}
 }
 
 // NewLiveServer wires a server over a live generational engine: the
@@ -207,36 +192,21 @@ func NewServer(c *corpus.Corpus, engine *search.Engine) *Server {
 // ingested paragraph text is tokenized server-side with it, which is what
 // keeps a grown index byte-identical in rankings to a frozen rebuild.
 func NewLiveServer(c *corpus.Corpus, live *search.LiveEngine, tok *textproc.Tokenizer) *Server {
-	s := NewServer(c, nil)
-	s.Live = live
-	s.Tokenizer = tok
-	return s
-}
-
-// retriever returns the serving retrieval surface: the live engine when
-// configured, the frozen engine otherwise. Both implement core.Retriever
-// and the allocation-free core.AppendRetriever.
-func (s *Server) retriever() core.Retriever {
-	if s.Live != nil {
-		return s.Live
+	if tok == nil {
+		tok = &textproc.Tokenizer{}
 	}
-	return s.engine
+	return newServer(newLocalBackend(c, live, live, tok))
 }
 
-// tokenizer returns the ingest tokenizer (the zero tokenizer when unset).
-func (s *Server) tokenizer() *textproc.Tokenizer {
-	if s.Tokenizer != nil {
-		return s.Tokenizer
-	}
-	return &textproc.Tokenizer{}
-}
-
-// semaphore returns the in-flight request bound, sized once from
-// MaxConcurrent on first use. The once-guard (instead of the former lazy
-// nil-check) makes concurrent Handler() calls race-free.
+// semaphore returns the admission semaphore, sized once on first use:
+// MaxInFlight when set (shedding), MaxConcurrent otherwise. The once-guard
+// makes concurrent Handler() calls race-free.
 func (s *Server) semaphore() chan struct{} {
 	s.semOnce.Do(func() {
 		n := s.MaxConcurrent
+		if s.MaxInFlight > 0 {
+			n, s.shedding = s.MaxInFlight, true
+		}
 		if n <= 0 {
 			n = 64
 		}
@@ -252,31 +222,38 @@ func (s *Server) semaphore() chan struct{} {
 // else bounded) lives in the route registry — see routes.go.
 const writeTimeout = 30 * time.Second
 
-// inflightSem returns the admission-control semaphore, sized once from
-// MaxInFlight on first use; nil when admission control is off.
+// inflightSem returns the semaphore when it sheds (MaxInFlight set), nil
+// when requests queue for it instead.
 func (s *Server) inflightSem() chan struct{} {
-	s.inflightOnce.Do(func() {
-		if s.MaxInFlight > 0 {
-			s.inflight = make(chan struct{}, s.MaxInFlight)
-		}
-	})
-	return s.inflight
+	if sem := s.semaphore(); s.shedding {
+		return sem
+	}
+	return nil
 }
 
 // Shed reports how many requests admission control has rejected with 429.
 func (s *Server) Shed() int64 { return s.shed.Load() }
 
-// limit applies admission control (fast 429 shed past MaxInFlight), the
-// concurrency bound, and request logging. Per-route write deadlines are
-// applied by instrument() from the route registry.
+// limit applies the admission semaphore — a fast 429 shed past
+// MaxInFlight, or a wait for one of MaxConcurrent slots — and request
+// logging. Per-route write deadlines are applied by instrument() from the
+// route registry.
 func (s *Server) limit(next http.Handler) http.Handler {
-	sem := s.semaphore()
-	inflight := s.inflightSem()
+	sem, shedding := s.semaphore(), s.shedding
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if inflight != nil && r.URL.Path != "/healthz" {
+		switch {
+		case !shedding:
 			select {
-			case inflight <- struct{}{}:
-				defer func() { <-inflight }()
+			case sem <- struct{}{}:
+				defer func() { <-sem }()
+			case <-r.Context().Done():
+				writeError(w, http.StatusServiceUnavailable, "canceled while waiting for a concurrency slot")
+				return
+			}
+		case r.URL.Path != "/healthz":
+			select {
+			case sem <- struct{}{}:
+				defer func() { <-sem }()
 			default:
 				// Shed instead of queueing: the client's retry (the
 				// envelope is retryable) is cheaper than a convoy here.
@@ -284,13 +261,6 @@ func (s *Server) limit(next http.Handler) http.Handler {
 				writeError(w, http.StatusTooManyRequests, "server at max in-flight requests")
 				return
 			}
-		}
-		select {
-		case sem <- struct{}{}:
-			defer func() { <-sem }()
-		case <-r.Context().Done():
-			writeError(w, http.StatusServiceUnavailable, "canceled while waiting for a concurrency slot")
-			return
 		}
 		s.requests.Add(1)
 		start := time.Now()
@@ -316,6 +286,7 @@ func (s *Server) Start(addr string) (string, error) {
 		// request write deadline to every other route, and the harvest
 		// handler rolls its own deadline forward per emitted event.
 		IdleTimeout: 60 * time.Second,
+		ConnState:   s.trackConn,
 	}
 	go func() {
 		if err := s.http.Serve(ln); err != nil && err != http.ErrServerClosed && s.Log != nil {
@@ -325,11 +296,39 @@ func (s *Server) Start(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
+// trackConn is the ConnState hook behind Shutdown's bound: it keeps the
+// set of connections that have not sent a request yet. net/http counts
+// those as idle only after 5 s, so one silent client would otherwise
+// stall every drain; Shutdown closes them instead, and a connection
+// accepted after Shutdown began is closed on arrival.
+func (s *Server) trackConn(c net.Conn, st http.ConnState) {
+	s.connsMu.Lock()
+	defer s.connsMu.Unlock()
+	switch {
+	case st != http.StateNew:
+		delete(s.newConns, c)
+	case s.ctx.Err() != nil:
+		c.Close()
+	default:
+		if s.newConns == nil {
+			s.newConns = make(map[net.Conn]struct{})
+		}
+		s.newConns[c] = struct{}{}
+	}
+}
+
 // Shutdown cancels long-lived streaming handlers (in-flight batch
-// harvests and job streams), drains the rest, stops the shared harvest
-// scheduler, and stops the server.
+// harvests and job streams), closes connections that never sent a
+// request, drains the rest, stops the shared harvest scheduler, and stops
+// the server.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.cancel()
+	s.connsMu.Lock()
+	for c := range s.newConns {
+		c.Close()
+	}
+	clear(s.newConns)
+	s.connsMu.Unlock()
 	var err error
 	if s.http != nil {
 		err = s.http.Shutdown(ctx)
@@ -350,8 +349,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 type ServerMetrics struct {
 	// Requests counts every HTTP request served since start.
 	Requests int64 `json:"requests"`
-	// InFlight is the number of requests currently holding a concurrency
-	// slot (the MaxConcurrent semaphore).
+	// InFlight is the number of requests currently holding a slot of the
+	// admission semaphore.
 	InFlight int `json:"inFlight"`
 	// Shed counts requests rejected 429 by admission control (MaxInFlight);
 	// MaxInFlight echoes the configured bound (0 = admission control off).
@@ -399,14 +398,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		st := sched.Stats()
 		m.Scheduler = &st
 	}
-	if s.cluster != nil {
-		cm := s.cluster.Metrics()
-		m.Cluster = &cm
-	}
-	if s.Live != nil {
-		lm := s.Live.Metrics()
-		m.Live = &lm
-	}
+	s.be.addMetrics(&m)
 	writeJSON(w, m)
 }
 
@@ -419,30 +411,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if s.cluster != nil {
-		st := s.cluster.Stats()
-		s.respond(w, r, wireStats, func(e *store.Enc) { encodeStatsWire(e, st) }, st)
-		return
-	}
-	s.corpusMu.RLock()
-	st := Stats{
-		Domain:      string(s.corpus.Domain),
-		NumEntities: s.corpus.NumEntities(),
-		NumPages:    s.corpus.NumPages(),
-	}
-	s.corpusMu.RUnlock()
-	if s.Live != nil {
-		st.NumTerms = s.Live.NumTerms()
-		st.TotalTokens = s.Live.TotalTokens()
-		st.Mu = s.Live.Mu()
-		st.TopK = s.Live.TopK()
-	} else {
-		idx := s.engine.Index()
-		st.NumTerms = idx.NumTerms()
-		st.TotalTokens = idx.TotalTokens()
-		st.Mu = s.engine.Mu()
-		st.TopK = s.engine.TopK()
-	}
+	st := s.be.Stats()
 	s.respond(w, r, wireStats, func(e *store.Enc) { encodeStatsWire(e, st) }, st)
 }
 
@@ -470,53 +439,47 @@ func queryParamTokens(qv url.Values, key string) []textproc.Token {
 	return toks
 }
 
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	qv := r.URL.Query()
-	qToks := queryParamTokens(qv, "q")
-	seedToks := queryParamTokens(qv, "seed")
-	if len(qToks) == 0 && len(seedToks) == 0 {
+// searchParams parses the q/seed/k parameters every search route shares
+// (k = 0 when absent: the serving engine's top-k). A non-empty errMsg is
+// the 400 to answer with.
+func searchParams(qv url.Values) (seed, query []textproc.Token, k int, errMsg string) {
+	query = queryParamTokens(qv, "q")
+	seed = queryParamTokens(qv, "seed")
+	if len(query) == 0 && len(seed) == 0 {
 		// A seed-only (or q-only) search is valid; only both-empty is not.
-		writeError(w, http.StatusBadRequest, "missing query: provide q and/or seed")
-		return
+		return nil, nil, 0, "missing query: provide q and/or seed"
 	}
-	k := 0
 	if kStr := qv.Get("k"); kStr != "" {
 		var err error
 		k, err = strconv.Atoi(kStr)
 		if err != nil || k <= 0 || k > 100 {
-			writeError(w, http.StatusBadRequest, "bad k parameter")
-			return
+			return nil, nil, 0, "bad k parameter"
 		}
 	}
-	if s.cluster != nil {
-		// Scatter-gather the cluster. A partial result (some partitions had
-		// no live owner) is served flagged, not errored: the client sees
-		// Partial and decides; only a total outage or a dead caller errors.
-		resp, err := s.cluster.Scatter(r.Context(), seedToks, qToks, k)
-		if err != nil {
-			writeError(w, http.StatusServiceUnavailable, err.Error())
-			return
-		}
-		s.respond(w, r, wireSearch, func(e *store.Enc) { encodeSearchWire(e, resp) }, resp)
-		return
-	}
-	var res []search.Result
-	if s.Live != nil {
-		// The per-request k rides through without deriving a new engine:
-		// the live cache is epoch- and k-keyed.
-		res = s.Live.SearchWithSeedTopKAppend(nil, k, seedToks, qToks)
-	} else {
-		engine := s.engine
-		if k > 0 {
-			engine = engine.WithTopK(k)
-		}
-		res = engine.SearchWithSeed(seedToks, qToks)
-	}
-	resp := SearchResponse{Query: textproc.JoinQuery(qToks), Seed: textproc.JoinQuery(seedToks), Hits: make([]SearchHit, 0, len(res))}
+	return seed, query, k, ""
+}
+
+// searchResponse converts ranked results into the search payload.
+func searchResponse(seed, query []textproc.Token, res []search.Result) SearchResponse {
+	resp := SearchResponse{Query: textproc.JoinQuery(query), Seed: textproc.JoinQuery(seed), Hits: make([]SearchHit, 0, len(res))}
 	for _, h := range res {
 		resp.Hits = append(resp.Hits, SearchHit{
 			PageID: h.Page.ID, URL: h.Page.URL, Title: h.Page.Title, Score: h.Score,
 		})
+	}
+	return resp
+}
+
+func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
+	seed, query, k, errMsg := searchParams(r.URL.Query())
+	if errMsg != "" {
+		writeError(w, http.StatusBadRequest, errMsg)
+		return
+	}
+	resp, err := s.be.search(r.Context(), seed, query, k)
+	if err != nil {
+		writeError(w, errorStatus(err), err.Error())
+		return
 	}
 	s.respond(w, r, wireSearch, func(e *store.Enc) { encodeSearchWire(e, resp) }, resp)
 }
@@ -532,41 +495,13 @@ func (s *Server) handleCollFreq(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "too many tokens")
 		return
 	}
-	if s.cluster != nil {
-		// Answer from the aggregated global model — the statistics every
-		// node scores with, so clients reproduce cluster scoring exactly.
-		freqs := s.cluster.collFreqBatch(toks)
-		s.respond(w, r, wireCollFreq, func(e *store.Enc) { encodeCollFreqWire(e, freqs) },
-			map[string]map[string]int{"freqs": freqs})
-		return
-	}
-	freqs := make(map[string]int, len(toks))
-	if s.Live != nil {
-		for _, t := range toks {
-			freqs[t] = s.Live.CollectionFreq(t)
-		}
-	} else {
-		idx := s.engine.Index()
-		for _, t := range toks {
-			freqs[t] = idx.CollectionFreq(t)
-		}
-	}
+	freqs := s.be.collFreqBatch(toks)
 	s.respond(w, r, wireCollFreq, func(e *store.Enc) { encodeCollFreqWire(e, freqs) },
 		map[string]map[string]int{"freqs": freqs})
 }
 
 func (s *Server) handleEntities(w http.ResponseWriter, r *http.Request) {
-	if s.cluster != nil {
-		out := s.cluster.Entities()
-		s.respond(w, r, wireEntities, func(e *store.Enc) { encodeEntitiesWire(e, out) }, out)
-		return
-	}
-	s.corpusMu.RLock()
-	out := make([]EntityInfo, 0, s.corpus.NumEntities())
-	for _, e := range s.corpus.Entities {
-		out = append(out, EntityInfo{ID: e.ID, Name: e.Name, SeedQuery: e.SeedQuery})
-	}
-	s.corpusMu.RUnlock()
+	out := s.be.Entities()
 	s.respond(w, r, wireEntities, func(e *store.Enc) { encodeEntitiesWire(e, out) }, out)
 }
 
@@ -585,26 +520,10 @@ func (s *Server) handlePage(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad page id")
 		return
 	}
-	var p *corpus.Page
-	if s.cluster != nil {
-		// Proxy the page from its partition's owning node (replica failover
-		// inside); rendering from the parsed page keeps the bytes identical
-		// to what the node itself would serve.
-		var err error
-		p, err = s.cluster.PageCtx(r.Context(), corpus.PageID(id))
-		if err != nil {
-			writeError(w, errorStatus(err), err.Error())
-			return
-		}
-	} else {
-		s.corpusMu.RLock()
-		var ok bool
-		p, ok = s.pages[corpus.PageID(id)]
-		s.corpusMu.RUnlock()
-		if !ok {
-			writeError(w, http.StatusNotFound, "no such page")
-			return
-		}
+	p, err := s.be.PageCtx(r.Context(), corpus.PageID(id))
+	if err != nil {
+		writeError(w, errorStatus(err), err.Error())
+		return
 	}
 	body := html.RenderPage(p)
 	if s.wantsWire(r) {

@@ -3,9 +3,12 @@ package webapi
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -262,6 +265,52 @@ func TestStartShutdown(t *testing.T) {
 	}
 	if _, err := http.Get(fmt.Sprintf("http://%s/healthz", addr)); err == nil {
 		t.Error("server still answering after shutdown")
+	}
+}
+
+// TestShutdownClosesSilentConn bounds Shutdown: a client that connected
+// but never sent a request must not hold the drain (net/http counts such
+// a connection idle only after 5 s).
+func TestShutdownClosesSilentConn(t *testing.T) {
+	g, err := synth.Generate(synth.TestConfig(synth.DomainCars))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(g.Corpus, search.NewEngine(search.BuildIndex(g.Corpus.Pages)))
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Wait until the server has accepted the connection, so Shutdown
+	// meets it in the new (no request yet) state.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		srv.connsMu.Lock()
+		n := len(srv.newConns)
+		srv.connsMu.Unlock()
+		if n == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("server never accepted the connection")
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d >= time.Second {
+		t.Fatalf("Shutdown took %v with one silent connection open, want < 1s", d)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("silent connection still open after Shutdown (read err %v)", err)
 	}
 }
 

@@ -32,6 +32,7 @@ ceiling() {
 	BenchmarkNGramsAllocs/append) echo 20 ;;          # only the multi-word gram strings emitted
 	BenchmarkNGramsAllocs/convenience) echo 28 ;;     # + result slice growth and the dedup map
 	BenchmarkSearchAllocs/cached/append) echo 0 ;;    # cache hit into a reused buffer
+	BenchmarkSearchAllocs/cached/topk/append) echo 0 ;; # per-request k: the shared cache, no engine copy
 	BenchmarkSearchAllocs/cached) echo 1 ;;           # the fresh result slice
 	BenchmarkSearchAllocs/nocache/append) echo 8 ;;   # pooled scoring scratch steady state
 	BenchmarkLiveSearchAllocs/cached/append) echo 0 ;; # multi-segment cache hit into a reused buffer
