@@ -1,6 +1,6 @@
 // Benchmarks for the extension systems: the crawler comparison experiment,
-// the push solver, the persistent store, the HTML boundary, the CRF
-// classifier family, the HTTP search API, and the interleaved pipeline.
+// the persistent store, the HTML boundary, the CRF classifier family, the
+// HTTP search API, and the interleaved pipeline.
 // These complement bench_test.go's per-figure benchmarks.
 package l2q_test
 
@@ -13,7 +13,6 @@ import (
 	"l2q/internal/core"
 	"l2q/internal/crf"
 	"l2q/internal/eval"
-	"l2q/internal/graph"
 	"l2q/internal/html"
 	"l2q/internal/pipeline"
 	"l2q/internal/store"
@@ -37,57 +36,6 @@ func BenchmarkExtCrawlerVsQueries(b *testing.B) {
 	}
 	b.ReportMetric(last.L2QF, "normF-L2QBAL")
 	b.ReportMetric(last.CrawlerF, "normF-crawler")
-}
-
-// benchGraph builds the same entity-graph shape as BenchmarkGraphSolve.
-func benchGraph() (*graph.Graph, []float64) {
-	g := graph.New()
-	var pages, queries, tmpls []graph.NodeID
-	for i := 0; i < 30; i++ {
-		pages = append(pages, g.AddNode(graph.KindPage))
-	}
-	for i := 0; i < 2000; i++ {
-		queries = append(queries, g.AddNode(graph.KindQuery))
-	}
-	for i := 0; i < 400; i++ {
-		tmpls = append(tmpls, g.AddNode(graph.KindTemplate))
-	}
-	for qi, q := range queries {
-		g.AddEdgePQ(pages[qi%len(pages)], q, 1)
-		if qi%3 == 0 {
-			g.AddEdgePQ(pages[(qi+7)%len(pages)], q, 1)
-		}
-		g.AddEdgeQT(q, tmpls[qi%len(tmpls)], 1)
-	}
-	reg := make([]float64, g.NumNodes())
-	for i := 0; i < 10; i++ {
-		reg[pages[i]] = 0.1
-	}
-	return g, reg
-}
-
-// BenchmarkGraphPushSolve measures the residual-push solver on the same
-// graph shape as BenchmarkGraphSolve/GaussSeidel (the refs [25][26]
-// efficiency alternative; compare ns/op across the three).
-func BenchmarkGraphPushSolve(b *testing.B) {
-	g, reg := benchGraph()
-	op := graph.BuildOperator(g, graph.Recall)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := graph.PushSolve(graph.PushProblem{Op: op, Reg: reg, Eps: 1e-10}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGraphBuildOperator isolates the CSR/CSC construction cost that
-// PushSolve amortizes across modes.
-func BenchmarkGraphBuildOperator(b *testing.B) {
-	g, _ := benchGraph()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		graph.BuildOperator(g, graph.Recall)
-	}
 }
 
 // BenchmarkStoreSave measures serialization throughput of the binary

@@ -284,39 +284,6 @@ func BenchmarkGraphSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkGraphSolveGaussSeidel measures the in-place scheme on the same
-// graph shape as BenchmarkGraphSolve (compare iterations via ns/op).
-func BenchmarkGraphSolveGaussSeidel(b *testing.B) {
-	g := graph.New()
-	var pages, queries, tmpls []graph.NodeID
-	for i := 0; i < 30; i++ {
-		pages = append(pages, g.AddNode(graph.KindPage))
-	}
-	for i := 0; i < 2000; i++ {
-		queries = append(queries, g.AddNode(graph.KindQuery))
-	}
-	for i := 0; i < 400; i++ {
-		tmpls = append(tmpls, g.AddNode(graph.KindTemplate))
-	}
-	for qi, q := range queries {
-		g.AddEdgePQ(pages[qi%len(pages)], q, 1)
-		if qi%3 == 0 {
-			g.AddEdgePQ(pages[(qi+7)%len(pages)], q, 1)
-		}
-		g.AddEdgeQT(q, tmpls[qi%len(tmpls)], 1)
-	}
-	reg := make([]float64, g.NumNodes())
-	for i := 0; i < 10; i++ {
-		reg[pages[i]] = 0.1
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := graph.Solve(graph.Problem{G: g, Mode: graph.Recall, Reg: reg, Scheme: graph.GaussSeidel}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSearchQueryBM25 measures BM25 ranking against the same corpus
 // as BenchmarkSearchQuery.
 func BenchmarkSearchQueryBM25(b *testing.B) {

@@ -37,13 +37,6 @@ type graphBuilder struct {
 	// engine, when non-nil and cfg.WeightByLikelihood is set, supplies
 	// retrieval-model edge weights; otherwise edges weigh 1.
 	engine Retriever
-
-	// ops caches the push solver's materialized operator per mode, keyed
-	// by Graph.Version: a persistent session graph that did not mutate
-	// since the last solve (an Infer with no new pages, candidates or
-	// fired queries) reuses the operator instead of rebuilding it.
-	ops        [2]*graph.Operator
-	opsVersion [2]uint64
 }
 
 func newGraphBuilder(cfg Config, rec types.Recognizer) *graphBuilder {
@@ -217,27 +210,6 @@ func (b *graphBuilder) solve(mode graph.Mode, reg []float64) ([]float64, error) 
 // cold-start at their regularization). The fixpoint is unique, so x0
 // affects convergence speed only.
 func (b *graphBuilder) solveWarm(mode graph.Mode, reg, x0 []float64) ([]float64, error) {
-	if b.cfg.UsePushSolver {
-		if b.ops[mode] == nil || b.opsVersion[mode] != b.g.Version() {
-			b.ops[mode] = graph.BuildOperator(b.g, mode)
-			b.opsVersion[mode] = b.g.Version()
-		}
-		res, err := graph.PushSolve(graph.PushProblem{
-			Op:    b.ops[mode],
-			Alpha: b.cfg.Alpha,
-			Reg:   reg,
-			Eps:   b.cfg.SolverTol,
-			X0:    x0,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return res.U, nil
-	}
-	scheme := graph.Jacobi
-	if b.cfg.UseGaussSeidel {
-		scheme = graph.GaussSeidel
-	}
 	res, err := graph.Solve(graph.Problem{
 		G:       b.g,
 		Mode:    mode,
@@ -245,7 +217,6 @@ func (b *graphBuilder) solveWarm(mode graph.Mode, reg, x0 []float64) ([]float64,
 		Reg:     reg,
 		Tol:     b.cfg.SolverTol,
 		MaxIter: b.cfg.SolverMaxIter,
-		Scheme:  scheme,
 		X0:      x0,
 	})
 	if err != nil {

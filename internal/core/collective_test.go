@@ -147,26 +147,6 @@ func TestContextStateMonotone(t *testing.T) {
 	}
 }
 
-func TestGaussSeidelSelectionEquivalence(t *testing.T) {
-	// Switching the solver scheme must not change what gets selected —
-	// both schemes reach the same fixpoint.
-	f := newFixture(t)
-	cfgGS := DefaultConfig()
-	cfgGS.Tokenizer = f.g.Tokenizer
-	cfgGS.UseGaussSeidel = true
-	a := f.session(f.dm).Run(NewPT(), 3)
-	sGS := NewSession(cfgGS, f.engine, f.target, "RESEARCH", f.y, f.dm, f.rec, 42)
-	b := sGS.Run(NewPT(), 3)
-	if len(a) != len(b) {
-		t.Fatalf("run lengths differ: %v vs %v", a, b)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("schemes selected differently: %v vs %v", a, b)
-		}
-	}
-}
-
 func TestSessionErrorf(t *testing.T) {
 	f := newFixture(t)
 	s := f.session(nil)

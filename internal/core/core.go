@@ -91,17 +91,6 @@ type Config struct {
 	// (the paper's "more generally, Wpq can also encode the connection
 	// strength", §III). Off by default; an ablation benchmark covers it.
 	WeightByLikelihood bool
-	// UseGaussSeidel switches the fixpoint solver to in-place
-	// Gauss–Seidel sweeps, which converge in fewer iterations than the
-	// paper's standard (Jacobi) updating; the solution is identical.
-	UseGaussSeidel bool
-	// UsePushSolver switches the fixpoint solver to residual forward
-	// push (the refs [25][26] efficiency alternative): work scales with
-	// the residual mass moved instead of |V|·iterations, which pays off
-	// on entity graphs whose regularization is concentrated. Takes
-	// precedence over UseGaussSeidel. The per-node error is bounded by
-	// SolverTol.
-	UsePushSolver bool
 	// PriorStrength is the pseudo-count weight m of the domain template
 	// prior inside the probability-scale collective-recall estimate
 	// R_E(q) ≈ (n·count + m·prior)/(n + m); see §V notes in DESIGN.md.
@@ -126,10 +115,10 @@ type Config struct {
 	// O(pages × candidates) to O(Δ).
 	IncrementalGraph bool
 	// WarmStart seeds each step's fixpoint solves with the previous
-	// step's utilities (graph.Problem.X0 / graph.PushProblem.X0). The
-	// damped fixpoint is a contraction with a unique solution, so warm
-	// starting changes iteration counts, not results (within SolverTol).
-	// Only effective together with IncrementalGraph.
+	// step's utilities (graph.Problem.X0). The damped fixpoint is a
+	// contraction with a unique solution, so warm starting changes
+	// iteration counts, not results (within SolverTol). Only effective
+	// together with IncrementalGraph.
 	WarmStart bool
 	// IncrementalPool keeps one persistent candidate pool Q_E per
 	// session, updated with per-step deltas — only newly ingested pages

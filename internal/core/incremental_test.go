@@ -200,15 +200,12 @@ func TestIncrementalSelectionsMatchReference(t *testing.T) {
 }
 
 // TestIncrementalMatchesReferenceAcrossSolvers repeats the lockstep
-// comparison under the alternative solver configurations (Gauss–Seidel,
-// residual push, likelihood-weighted edges) so the warm-start plumbing of
-// every solver is covered.
+// comparison with likelihood-weighted edges, so the warm-started solver
+// is also covered on non-binary edge weights.
 func TestIncrementalMatchesReferenceAcrossSolvers(t *testing.T) {
 	f := newDiffFixture(t, synth.DomainResearchers, synth.AspResearch)
 	variants := map[string]func(*Config){
-		"gauss-seidel": func(c *Config) { c.UseGaussSeidel = true },
-		"push":         func(c *Config) { c.UsePushSolver = true },
-		"likelihood":   func(c *Config) { c.WeightByLikelihood = true },
+		"likelihood": func(c *Config) { c.WeightByLikelihood = true },
 	}
 	opts := InferOptions{UseTemplates: true, UseDomainCandidates: true, Collective: true}
 	for name, mutate := range variants {

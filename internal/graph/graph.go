@@ -94,8 +94,8 @@ func (g *Graph) AddNode(k Kind) NodeID {
 func (g *Graph) NumNodes() int { return len(g.kinds) }
 
 // Version counts mutations (node adds, edge adds, detaches). Callers that
-// cache anything derived from the topology — solved utilities used as warm
-// starts, materialized operators — compare versions to detect staleness.
+// cache anything derived from the topology, such as solved utilities used
+// as warm starts, compare versions to detect staleness.
 func (g *Graph) Version() uint64 { return g.version }
 
 // NumEdges returns the edge count.

@@ -144,38 +144,36 @@ func TestWarmStartSameFixpoint(t *testing.T) {
 	for _, p := range pages {
 		reg[p] = rng.Float64()
 	}
-	for _, scheme := range []Iteration{Jacobi, GaussSeidel} {
-		for _, mode := range []Mode{Precision, Recall} {
-			cold, err := Solve(Problem{G: g, Mode: mode, Reg: reg, Tol: 1e-12, Scheme: scheme})
-			if err != nil {
-				t.Fatal(err)
+	for _, mode := range []Mode{Precision, Recall} {
+		cold, err := Solve(Problem{G: g, Mode: mode, Reg: reg, Tol: 1e-12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Warm start at the exact solution: converges immediately.
+		warm, err := Solve(Problem{G: g, Mode: mode, Reg: reg, Tol: 1e-12, X0: cold.U})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.Iterations > 2 {
+			t.Errorf("%v: warm start at solution took %d iterations", mode, warm.Iterations)
+		}
+		for v := range cold.U {
+			if d := math.Abs(cold.U[v] - warm.U[v]); d > 1e-10 {
+				t.Fatalf("%v node %d: warm %.15f vs cold %.15f", mode, v, warm.U[v], cold.U[v])
 			}
-			// Warm start at the exact solution: converges immediately.
-			warm, err := Solve(Problem{G: g, Mode: mode, Reg: reg, Tol: 1e-12, Scheme: scheme, X0: cold.U})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if warm.Iterations > 2 {
-				t.Errorf("%v/%v: warm start at solution took %d iterations", scheme, mode, warm.Iterations)
-			}
-			for v := range cold.U {
-				if d := math.Abs(cold.U[v] - warm.U[v]); d > 1e-10 {
-					t.Fatalf("%v/%v node %d: warm %.15f vs cold %.15f", scheme, mode, v, warm.U[v], cold.U[v])
-				}
-			}
-			// Warm start from garbage still converges to the fixpoint.
-			bad := make([]float64, len(reg))
-			for i := range bad {
-				bad[i] = 10 * rng.Float64()
-			}
-			fromBad, err := Solve(Problem{G: g, Mode: mode, Reg: reg, Tol: 1e-12, Scheme: scheme, X0: bad})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for v := range cold.U {
-				if d := math.Abs(cold.U[v] - fromBad.U[v]); d > 1e-9 {
-					t.Fatalf("%v/%v node %d: from-bad %.15f vs cold %.15f", scheme, mode, v, fromBad.U[v], cold.U[v])
-				}
+		}
+		// Warm start from garbage still converges to the fixpoint.
+		bad := make([]float64, len(reg))
+		for i := range bad {
+			bad[i] = 10 * rng.Float64()
+		}
+		fromBad, err := Solve(Problem{G: g, Mode: mode, Reg: reg, Tol: 1e-12, X0: bad})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range cold.U {
+			if d := math.Abs(cold.U[v] - fromBad.U[v]); d > 1e-9 {
+				t.Fatalf("%v node %d: from-bad %.15f vs cold %.15f", mode, v, fromBad.U[v], cold.U[v])
 			}
 		}
 	}
@@ -214,66 +212,6 @@ func TestWarmStartShortX0(t *testing.T) {
 		if d := math.Abs(cold.U[v] - warm.U[v]); d > 1e-10 {
 			t.Fatalf("node %d: warm %.15f vs cold %.15f", v, warm.U[v], cold.U[v])
 		}
-	}
-}
-
-// TestPushWarmStart: the incremental push (X0 + signed correction
-// residuals) reaches the same solution as a cold push, with far fewer
-// pushes when the graph barely changed.
-func TestPushWarmStart(t *testing.T) {
-	rng := rand.New(rand.NewPCG(13, 17))
-	g, pages, queries, _ := randomTripartite(rng, 40, 30, 5, false)
-	reg := make([]float64, g.NumNodes())
-	for _, p := range pages {
-		reg[p] = rng.Float64()
-	}
-	for _, mode := range []Mode{Precision, Recall} {
-		prev, err := PushSolve(PushProblem{G: g, Mode: mode, Reg: reg, Eps: 1e-12})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !prev.Converged {
-			t.Fatal("cold push did not converge")
-		}
-
-		// Identity warm start: nothing to push.
-		same, err := PushSolve(PushProblem{G: g, Mode: mode, Reg: reg, Eps: 1e-12, X0: prev.U})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if same.Iterations > prev.Iterations/10 {
-			t.Errorf("%v: warm push at solution did %d pushes (cold %d)", mode, same.Iterations, prev.Iterations)
-		}
-		for v := range prev.U {
-			if d := math.Abs(prev.U[v] - same.U[v]); d > 1e-8 {
-				t.Fatalf("%v node %d: warm %.12f vs cold %.12f", mode, v, same.U[v], prev.U[v])
-			}
-		}
-
-		// Grow the graph slightly and re-solve warm vs cold.
-		np := g.AddNode(KindPage)
-		g.AddEdgePQ(np, queries[1], 1)
-		reg = append(reg, 0.5)
-		cold, err := PushSolve(PushProblem{G: g, Mode: mode, Reg: reg, Eps: 1e-12})
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm, err := PushSolve(PushProblem{G: g, Mode: mode, Reg: reg, Eps: 1e-12, X0: prev.U})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !warm.Converged {
-			t.Fatalf("%v: warm push did not converge", mode)
-		}
-		for v := range cold.U {
-			if d := math.Abs(cold.U[v] - warm.U[v]); d > 1e-8 {
-				t.Fatalf("%v node %d after growth: warm %.12f vs cold %.12f", mode, v, warm.U[v], cold.U[v])
-			}
-		}
-		if warm.Iterations > cold.Iterations {
-			t.Errorf("%v: warm push did %d pushes, cold %d — no locality win", mode, warm.Iterations, cold.Iterations)
-		}
-		pages = append(pages, np)
 	}
 }
 

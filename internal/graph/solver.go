@@ -27,20 +27,6 @@ func (m Mode) String() string {
 // most graphs" (§VI-A "Settings").
 const DefaultAlpha = 0.15
 
-// Iteration selects the fixpoint iteration scheme. The paper uses
-// "standard iterative updating" (Jacobi) and points to the literature for
-// faster schemes ([25]–[27], beyond its scope); Gauss–Seidel is the
-// classic in-place variant that typically halves the iteration count by
-// consuming fresh values within a sweep. Both converge to the same unique
-// fixpoint.
-type Iteration uint8
-
-// Iteration schemes.
-const (
-	Jacobi Iteration = iota
-	GaussSeidel
-)
-
 // Problem describes one utility-inference fixpoint.
 type Problem struct {
 	G *Graph
@@ -56,9 +42,6 @@ type Problem struct {
 	// MaxIter bounds the iterations (default 200; the paper observes
 	// convergence in ~50).
 	MaxIter int
-	// Scheme selects Jacobi (default, the paper's iteration) or
-	// Gauss–Seidel.
-	Scheme Iteration
 	// X0, when non-nil, is the warm-start iterate: the iteration begins
 	// at X0 instead of at Reg. The fixpoint is unique and the map is a
 	// contraction, so the converged result is independent of the start —
@@ -77,6 +60,8 @@ type Result struct {
 }
 
 // Solve runs the damped fixpoint iteration of Eq. 13 until convergence.
+// It is the paper's "standard iterative updating" (Jacobi): every sweep
+// reads only the previous iterate.
 // It returns an error if the problem is malformed; numeric iteration
 // itself cannot fail (the map is a (1−α)-contraction in L∞ for precision
 // and in L1 for recall, so it always converges given enough iterations).
@@ -114,34 +99,18 @@ func Solve(p Problem) (Result, error) {
 	var iter int
 	converged := false
 	for iter = 1; iter <= maxIter; iter++ {
-		var delta float64
-		if p.Scheme == GaussSeidel {
-			// In-place sweep: updates read already-updated values.
-			copy(next, x)
-			if p.Mode == Precision {
-				stepPrecision(p.G, alpha, p.Reg, next, next)
-			} else {
-				stepRecall(p.G, alpha, p.Reg, next, next)
-			}
-			for i := range x {
-				if d := math.Abs(next[i] - x[i]); d > delta {
-					delta = d
-				}
-			}
-			copy(x, next)
+		if p.Mode == Precision {
+			stepPrecision(p.G, alpha, p.Reg, x, next)
 		} else {
-			if p.Mode == Precision {
-				stepPrecision(p.G, alpha, p.Reg, x, next)
-			} else {
-				stepRecall(p.G, alpha, p.Reg, x, next)
-			}
-			for i := range x {
-				if d := math.Abs(next[i] - x[i]); d > delta {
-					delta = d
-				}
-			}
-			x, next = next, x
+			stepRecall(p.G, alpha, p.Reg, x, next)
 		}
+		var delta float64
+		for i := range x {
+			if d := math.Abs(next[i] - x[i]); d > delta {
+				delta = d
+			}
+		}
+		x, next = next, x
 		if delta < tol {
 			converged = true
 			break
