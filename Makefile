@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test soak bench bench-candidates bench-wire bench-scatter bench-allocs bench-live wire-parity load-smoke cluster-smoke lint vuln fmt
+.PHONY: all build test fuzz soak bench bench-candidates bench-wire bench-scatter bench-allocs bench-live wire-parity load-smoke cluster-smoke lint vuln fmt
 
 all: lint build test
 
@@ -12,6 +12,11 @@ build:
 
 test:
 	$(GO) test -race -shuffle=on ./...
+	$(GO) test -run 'TestPaperFiguresGolden' ./internal/eval/
+
+# 30 s of fuzzing the ingest payload decoder below the frame CRC.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeIngestWire$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/webapi/
 
 # 30 s churn loops under the race detector: scheduler submit/cancel/
 # resume, and the live engine's concurrent ingest+search+compact.

@@ -100,11 +100,7 @@ func main() {
 	for _, d := range domains {
 		cfg := eval.DefaultConfig(d)
 		if *quick {
-			cfg.NumEntities = 60
-			cfg.PagesPerEntity = 20
-			cfg.DomainSample = 16
-			cfg.NumTest = 8
-			cfg.NumValidation = 4
+			cfg = eval.QuickConfig(d)
 		}
 		if *entities > 0 {
 			cfg.NumEntities = *entities

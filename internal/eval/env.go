@@ -65,6 +65,19 @@ func DefaultConfig(domain corpus.Domain) Config {
 	}
 }
 
+// QuickConfig returns the small, fast configuration of `l2qexp -quick`:
+// 60 entities × 20 pages, a domain sample of 16, 8 test and 4
+// validation entities. TestPaperFiguresGolden pins its figures.
+func QuickConfig(domain corpus.Domain) Config {
+	cfg := DefaultConfig(domain)
+	cfg.NumEntities = 60
+	cfg.PagesPerEntity = 20
+	cfg.DomainSample = 16
+	cfg.NumTest = 8
+	cfg.NumValidation = 4
+	return cfg
+}
+
 // TestConfig returns a miniature environment for unit tests.
 func TestConfig(domain corpus.Domain) Config {
 	return Config{

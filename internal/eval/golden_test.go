@@ -19,9 +19,8 @@ import (
 // goldenFigures is the committed result of paperFigures on both domains.
 var goldenFigures = filepath.Join("testdata", "figures_golden.json")
 
-// TestPaperFiguresGolden runs the `l2qexp -quick` configuration (60
-// entities × 20 pages, domain sample 16, 8 test and 4 validation
-// entities, default seed) on both domains and compares Fig. 9–13, the
+// TestPaperFiguresGolden runs the `l2qexp -quick` configuration
+// (QuickConfig, default seed) on both domains and compares Fig. 9–13, the
 // crawler comparison and the budget comparison, as full-precision JSON,
 // against testdata/figures_golden.json. Fig. 14 and every SelectionSec*
 // field are wall-clock timings and are left out; everything else is
@@ -42,7 +41,7 @@ func TestPaperFiguresGolden(t *testing.T) {
 	}
 	got := map[corpus.Domain]map[string]any{}
 	for _, d := range []corpus.Domain{synth.DomainResearchers, synth.DomainCars} {
-		figs, err := paperFigures(quickConfig(d))
+		figs, err := paperFigures(QuickConfig(d))
 		if err != nil {
 			t.Fatalf("%s: %v", d, err)
 		}
@@ -66,17 +65,6 @@ func TestPaperFiguresGolden(t *testing.T) {
 	if !bytes.Equal(gotJSON, want) {
 		t.Fatalf("paper figures differ from %s:\n%s", goldenFigures, firstDiff(want, gotJSON))
 	}
-}
-
-// quickConfig is the configuration `l2qexp -quick` runs for domain d.
-func quickConfig(d corpus.Domain) Config {
-	cfg := DefaultConfig(d)
-	cfg.NumEntities = 60
-	cfg.PagesPerEntity = 20
-	cfg.DomainSample = 16
-	cfg.NumTest = 8
-	cfg.NumValidation = 4
-	return cfg
 }
 
 // paperFigures runs every deterministic figure of one domain, keyed by

@@ -147,7 +147,7 @@ func encodeCheckpoints(e *Enc, cps []core.Checkpoint) {
 }
 
 func decodeCheckpoints(d *Dec) []core.Checkpoint {
-	n := d.Count("checkpoints")
+	n := d.Count("checkpoints", 21) // 5 varint/string/byte fields + two float64s
 	out := make([]core.Checkpoint, 0, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		cp := core.Checkpoint{
@@ -157,11 +157,11 @@ func decodeCheckpoints(d *Dec) []core.Checkpoint {
 		cp.Booted = d.Byte() != 0
 		cp.RPhi = d.F64()
 		cp.RStarPhi = d.F64()
-		nFired := d.Count("fired queries")
+		nFired := d.Count("fired queries", 1)
 		for j := 0; j < nFired && d.Err() == nil; j++ {
 			cp.Fired = append(cp.Fired, core.Query(d.Str()))
 		}
-		nPages := d.Count("checkpoint pages")
+		nPages := d.Count("checkpoint pages", 1)
 		prev := int64(0)
 		for j := 0; j < nPages && d.Err() == nil; j++ {
 			prev += d.Varint()

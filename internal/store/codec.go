@@ -195,15 +195,17 @@ func (d *Dec) F64() float64 {
 	return v
 }
 
-// Count reads a length prefix and sanity-checks it against the remaining
-// bytes (each element needs at least one byte), so hostile lengths cannot
-// trigger huge allocations.
-func (d *Dec) Count(what string) int {
+// Count reads the length prefix of a run of elements that each encode to
+// at least minSize (≥ 1) bytes, and rejects a count the remaining bytes
+// cannot hold. A caller that preallocates the count's elements then
+// allocates in proportion to its input: at most (element size / minSize)
+// times the payload, however hostile the prefix.
+func (d *Dec) Count(what string, minSize int) int {
 	n := d.Uvarint()
 	if d.err != nil {
 		return 0
 	}
-	if n > uint64(len(d.buf)-d.pos) {
+	if n > uint64((len(d.buf)-d.pos)/minSize) {
 		d.Fail(what + " count")
 		return 0
 	}

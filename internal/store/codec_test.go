@@ -64,8 +64,21 @@ func TestDecCountBounds(t *testing.T) {
 	e := &Enc{}
 	e.Uvarint(1 << 40) // hostile count
 	d := NewDec(e.Data())
-	if n := d.Count("test"); n != 0 || d.Err() == nil {
+	if n := d.Count("test", 1); n != 0 || d.Err() == nil {
 		t.Fatalf("hostile count accepted: %d", n)
+	}
+
+	// Four elements of at least two bytes fit in eight bytes; of at
+	// least three bytes they do not.
+	e = &Enc{}
+	e.Uvarint(4)
+	e.Raw(make([]byte, 8))
+	if n := NewDec(e.Data()).Count("test", 2); n != 4 {
+		t.Fatalf("count 4 of 2-byte elements over 8 bytes: got %d", n)
+	}
+	d = NewDec(e.Data())
+	if n := d.Count("test", 3); n != 0 || d.Err() == nil {
+		t.Fatalf("count 4 of 3-byte elements over 8 bytes accepted: %d", n)
 	}
 }
 

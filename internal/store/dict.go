@@ -54,7 +54,7 @@ func (d *dictionary) encode(e *Enc) {
 }
 
 func decodeDictionary(d *Dec) *dictionary {
-	n := d.Count("dictionary")
+	n := d.Count("dictionary", 2)
 	dict := &dictionary{
 		terms: make([]string, 0, n),
 		ids:   make(map[string]uint64, n),

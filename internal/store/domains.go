@@ -335,7 +335,7 @@ func encodeDomainModels(e *Enc, models []*core.DomainModel) {
 }
 
 func decodeDomainModels(d *Dec) []*core.DomainModel {
-	n := d.Count("domain models")
+	n := d.Count("domain models", 21) // aspect, 9 map counts, candidate count, float64, 2 varints
 	out := make([]*core.DomainModel, 0, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		dm := &core.DomainModel{Aspect: corpus.Aspect(d.Str())}
@@ -348,7 +348,7 @@ func decodeDomainModels(d *Dec) []*core.DomainModel {
 		dm.QueryRStarCount = decQueryMap(d)
 		dm.QueryP = decQueryMap(d)
 		dm.QueryR = decQueryMap(d)
-		nc := d.Count("domain candidates")
+		nc := d.Count("domain candidates", 1)
 		dm.Candidates = make([]core.Query, 0, nc)
 		for j := 0; j < nc && d.Err() == nil; j++ {
 			dm.Candidates = append(dm.Candidates, core.Query(d.Str()))
@@ -385,7 +385,7 @@ func encodeClassifiers(e *Enc, cls []classify.Params) {
 }
 
 func decodeClassifiers(d *Dec) []classify.Params {
-	n := d.Count("classifiers")
+	n := d.Count("classifiers", 35) // aspect, four float64s, 2 vocab counts
 	out := make([]classify.Params, 0, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		p := classify.Params{Aspect: corpus.Aspect(d.Str())}
@@ -394,7 +394,7 @@ func decodeClassifiers(d *Dec) []classify.Params {
 			p.LogUnk[cls] = d.F64()
 		}
 		for cls := 0; cls < 2; cls++ {
-			nt := d.Count("classifier vocab")
+			nt := d.Count("classifier vocab", 9) // token, float64
 			lik := make(map[textproc.Token]float64, nt)
 			for j := 0; j < nt && d.Err() == nil; j++ {
 				t := textproc.Token(d.Str())
@@ -422,7 +422,7 @@ func encStrMap(e *Enc, m map[string]float64) {
 }
 
 func decStrMap(d *Dec) map[string]float64 {
-	n := d.Count("map entries")
+	n := d.Count("map entries", 9)
 	m := make(map[string]float64, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		k := d.Str()
@@ -446,7 +446,7 @@ func encQueryMap(e *Enc, m map[core.Query]float64) {
 }
 
 func decQueryMap(d *Dec) map[core.Query]float64 {
-	n := d.Count("map entries")
+	n := d.Count("map entries", 9)
 	m := make(map[core.Query]float64, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		k := d.Str()

@@ -31,7 +31,7 @@ func encodeEntities(e *Enc, c *corpus.Corpus) {
 }
 
 func decodeEntities(d *Dec) []*corpus.Entity {
-	n := d.Count("entities")
+	n := d.Count("entities", 5) // id, domain, name, seed query, attr count
 	out := make([]*corpus.Entity, 0, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		ent := &corpus.Entity{
@@ -40,7 +40,7 @@ func decodeEntities(d *Dec) []*corpus.Entity {
 			Name:      d.Str(),
 			SeedQuery: d.Str(),
 		}
-		nAttrs := d.Count("entity attrs")
+		nAttrs := d.Count("entity attrs", 2)
 		if nAttrs > 0 {
 			ent.Attrs = make(map[string]string, nAttrs)
 			for j := 0; j < nAttrs && d.Err() == nil; j++ {
@@ -99,13 +99,13 @@ func encodePages(e *Enc, c *corpus.Corpus, dict *dictionary) {
 }
 
 func decodePages(d *Dec, dict *dictionary) []*corpus.Page {
-	nAspects := d.Count("aspects")
+	nAspects := d.Count("aspects", 1)
 	aspects := make([]corpus.Aspect, 0, nAspects)
 	for i := 0; i < nAspects && d.Err() == nil; i++ {
 		aspects = append(aspects, corpus.Aspect(d.Str()))
 	}
 
-	nPages := d.Count("pages")
+	nPages := d.Count("pages", 6) // id, entity, url, title, para count, link count
 	out := make([]*corpus.Page, 0, nPages)
 	for i := 0; i < nPages && d.Err() == nil; i++ {
 		p := &corpus.Page{
@@ -114,7 +114,7 @@ func decodePages(d *Dec, dict *dictionary) []*corpus.Page {
 			URL:    d.Str(),
 			Title:  d.Str(),
 		}
-		nParas := d.Count("paragraphs")
+		nParas := d.Count("paragraphs", 3) // aspect id, text, token count
 		p.Paras = make([]corpus.Paragraph, 0, nParas)
 		for j := 0; j < nParas && d.Err() == nil; j++ {
 			aid := d.Uvarint()
@@ -123,7 +123,7 @@ func decodePages(d *Dec, dict *dictionary) []*corpus.Page {
 				break
 			}
 			para := corpus.Paragraph{Aspect: aspects[aid], Text: d.Str()}
-			nToks := d.Count("tokens")
+			nToks := d.Count("tokens", 1)
 			para.Tokens = make([]textproc.Token, 0, nToks)
 			for k := 0; k < nToks && d.Err() == nil; k++ {
 				t, ok := dict.term(d.Uvarint())
@@ -135,7 +135,7 @@ func decodePages(d *Dec, dict *dictionary) []*corpus.Page {
 			}
 			p.Paras = append(p.Paras, para)
 		}
-		nLinks := d.Count("links")
+		nLinks := d.Count("links", 1)
 		for j := 0; j < nLinks && d.Err() == nil; j++ {
 			p.Links = append(p.Links, corpus.PageID(int64(p.ID)+d.Varint()))
 		}
@@ -161,7 +161,7 @@ func encodeIndex(e *Enc, idx *search.Index, dict *dictionary) {
 }
 
 func decodeIndex(d *Dec, dict *dictionary) map[textproc.Token][]search.RawPosting {
-	nTerms := d.Count("index terms")
+	nTerms := d.Count("index terms", 2)
 	out := make(map[textproc.Token][]search.RawPosting, nTerms)
 	for i := 0; i < nTerms && d.Err() == nil; i++ {
 		term, ok := dict.term(d.Uvarint())
@@ -169,7 +169,7 @@ func decodeIndex(d *Dec, dict *dictionary) map[textproc.Token][]search.RawPostin
 			d.Fail("index term id")
 			return out
 		}
-		nPosts := d.Count("postings")
+		nPosts := d.Count("postings", 2)
 		posts := make([]search.RawPosting, 0, nPosts)
 		doc := int32(0)
 		for j := 0; j < nPosts && d.Err() == nil; j++ {

@@ -321,19 +321,23 @@ func codecName(c Codec) string {
 	}
 }
 
+// ingestWireFixture is an ingest batch with every field populated on one
+// page and the degenerate shapes (empty strings, nil links) on the other.
+var ingestWireFixture = IngestRequest{Pages: []IngestPage{
+	{
+		ID: 7, Entity: 3, EntityName: "Ada Lovelace", SeedQuery: "ada lovelace analytical",
+		URL: "http://example.test/7", Title: "Notes",
+		Paras: []IngestParagraph{{Text: "first program", Aspect: "RESEARCH"}, {Text: "filler"}},
+		Links: []corpus.PageID{1, 9, 4},
+	},
+	{ID: 8, Entity: 3, Paras: []IngestParagraph{{Text: strings.Repeat("long text ", 400)}}},
+}}
+
 // TestIngestWireRoundTrip holds the binary ingest codecs to decoded-value
 // parity with the JSON structures, including the degenerate shapes the
 // negotiation-matrix rule calls out (nil slices stay nil).
 func TestIngestWireRoundTrip(t *testing.T) {
-	req := IngestRequest{Pages: []IngestPage{
-		{
-			ID: 7, Entity: 3, EntityName: "Ada Lovelace", SeedQuery: "ada lovelace analytical",
-			URL: "http://example.test/7", Title: "Notes",
-			Paras: []IngestParagraph{{Text: "first program", Aspect: "RESEARCH"}, {Text: "filler"}},
-			Links: []corpus.PageID{1, 9, 4},
-		},
-		{ID: 8, Entity: 3, Paras: []IngestParagraph{{Text: strings.Repeat("long text ", 400)}}},
-	}}
+	req := ingestWireFixture
 	frame := marshalFrame(wireIngest, DefaultCompressMin, func(e *store.Enc) { encodeIngestWire(e, req) })
 	var got IngestRequest
 	if err := decodeFramePayload(frame, wireIngest, func(d *store.Dec) { got = decodeIngestWire(d) }); err != nil {

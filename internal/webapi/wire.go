@@ -279,7 +279,7 @@ func encodeSearchWire(e *store.Enc, resp SearchResponse) {
 
 func decodeSearchWire(d *store.Dec) SearchResponse {
 	resp := SearchResponse{Query: d.Str(), Seed: d.Str(), Partial: d.Byte() != 0}
-	n := d.Count("search hits")
+	n := d.Count("search hits", 11) // id, url, title: 1+ byte each; score: 8
 	if n > 0 {
 		resp.Hits = make([]SearchHit, 0, n)
 	}
@@ -311,7 +311,7 @@ func encodeCollFreqWire(e *store.Enc, freqs map[string]int) {
 }
 
 func decodeCollFreqWire(d *store.Dec) map[string]int {
-	n := d.Count("collfreq entries")
+	n := d.Count("collfreq entries", 2)
 	out := make(map[string]int, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		k := d.Str()
@@ -359,7 +359,7 @@ func encodeEntitiesWire(e *store.Enc, ents []EntityInfo) {
 }
 
 func decodeEntitiesWire(d *store.Dec) []EntityInfo {
-	n := d.Count("entities")
+	n := d.Count("entities", 3) // id, name, seed query
 	var out []EntityInfo
 	if n > 0 {
 		out = make([]EntityInfo, 0, n)
@@ -405,11 +405,11 @@ func decodeEventWire(d *store.Dec) HarvestEvent {
 		NewPages:   int(d.Varint()),
 		TotalPages: int(d.Varint()),
 	}
-	nFired := d.Count("fired queries")
+	nFired := d.Count("fired queries", 1)
 	for i := 0; i < nFired && d.Err() == nil; i++ {
 		ev.Fired = append(ev.Fired, d.Str())
 	}
-	nPages := d.Count("event pages")
+	nPages := d.Count("event pages", 1)
 	prev := int64(0)
 	for i := 0; i < nPages && d.Err() == nil; i++ {
 		prev += d.Varint()
@@ -450,7 +450,7 @@ func encodeIngestWire(e *store.Enc, req IngestRequest) {
 
 func decodeIngestWire(d *store.Dec) IngestRequest {
 	var req IngestRequest
-	n := d.Count("ingest pages")
+	n := d.Count("ingest pages", 8) // 6 scalar/string fields + 2 counts
 	if n > 0 {
 		req.Pages = make([]IngestPage, 0, n)
 	}
@@ -463,11 +463,17 @@ func decodeIngestWire(d *store.Dec) IngestRequest {
 			URL:        d.Str(),
 			Title:      d.Str(),
 		}
-		nPara := d.Count("ingest paragraphs")
+		nPara := d.Count("ingest paragraphs", 2)
+		if nPara > 0 {
+			p.Paras = make([]IngestParagraph, 0, nPara)
+		}
 		for j := 0; j < nPara && d.Err() == nil; j++ {
 			p.Paras = append(p.Paras, IngestParagraph{Text: d.Str(), Aspect: d.Str()})
 		}
-		nLinks := d.Count("ingest links")
+		nLinks := d.Count("ingest links", 1)
+		if nLinks > 0 {
+			p.Links = make([]corpus.PageID, 0, nLinks)
+		}
 		prev := int64(0)
 		for j := 0; j < nLinks && d.Err() == nil; j++ {
 			prev += d.Varint()
